@@ -23,7 +23,8 @@
 use ldiv_api::Params;
 use ldiv_datagen::{sal, AcsConfig};
 use ldiv_metrics::kl_divergence_with;
-use ldiv_server::wire::{self, Json};
+use ldiv_server::wire;
+use ldiv_wire::Json;
 use ldiversity::shard::run_sharded;
 use ldiversity::standard_registry;
 use std::time::Instant;

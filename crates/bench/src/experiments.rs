@@ -7,7 +7,7 @@ use crate::service::{rollup_stages, stages_json};
 use ldiv_core::Phase;
 use ldiv_datagen::{occ, occ_schema, projection_sets, sal, sal_schema, sample_rows, AcsConfig};
 use ldiv_microdata::{Partition, RowId, SaHistogram, Table};
-use ldiv_server::wire::Json;
+use ldiv_wire::Json;
 
 /// The two dataset families of the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

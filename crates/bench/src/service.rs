@@ -11,7 +11,8 @@
 
 use ldiv_datagen::{sal, AcsConfig};
 use ldiv_microdata::write_table_csv;
-use ldiv_server::{wire::Json, Server, ServerConfig};
+use ldiv_server::{Server, ServerConfig};
+use ldiv_wire::Json;
 use ldiversity::standard_registry;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};

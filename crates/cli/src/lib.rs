@@ -38,8 +38,8 @@ use ldiv_metrics::{kl_divergence_with, PublicationSummary};
 use ldiv_microdata::{
     read_csv_with, write_generalized_csv, write_table_csv, SuppressedTable, Table,
 };
-use ldiv_server::wire::{self, Json};
-use ldiv_server::{Server, ServerConfig};
+use ldiv_server::{wire, Server, ServerConfig};
+use ldiv_wire::Json;
 use ldiversity::standard_registry;
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -206,24 +206,7 @@ fn stage_breakdown(trace: &ldiv_obs::FinishedTrace) -> String {
 }
 
 /// Renders a wire object as the command's output (one line of JSON).
-///
-/// Under the ambient `LDIV_WIRE=bin` differential drive the value takes
-/// a detour through the binary codec first — `decode(encode(x))` is the
-/// identity, so the printed bytes are unchanged, but every JSON line the
-/// CLI emits has then exercised both wire faces. A disagreement is a
-/// codec bug and panics loudly rather than printing either side.
 fn json_line(value: Json) -> String {
-    let value = if ldiv_wire::env_wire_bin() {
-        let round = ldiv_wire::decode(&ldiv_wire::encode(&value))
-            .expect("LDIV_WIRE=bin: encoded output must decode");
-        assert_eq!(
-            round, value,
-            "LDIV_WIRE=bin: decode(encode(x)) must be the identity"
-        );
-        round
-    } else {
-        value
-    };
     let mut out = value.render();
     out.push('\n');
     out
@@ -1105,6 +1088,15 @@ mod tests {
         dir.join(name).to_string_lossy().into_owned()
     }
 
+    /// A `--format json` output is one JSON line whose value survives the
+    /// binary codec and re-renders to the same line.
+    fn assert_json_line(line: &str) {
+        let value = Json::parse(line.trim_end()).unwrap_or_else(|| panic!("not JSON: {line}"));
+        let decoded = ldiv_wire::decode(&ldiv_wire::encode(&value)).unwrap();
+        assert_eq!(decoded, value, "decode(encode(x)) != x for {line}");
+        assert_eq!(json_line(decoded), line);
+    }
+
     #[test]
     fn parse_rejects_malformed_with_usage_exit_code() {
         for args in [
@@ -1449,6 +1441,10 @@ mod tests {
             );
         }
 
+        for line in [&stats, &anon, &depth, &compare] {
+            assert_json_line(line);
+        }
+
         let err = run(&opts(&["stats", "--input", &data, "--format", "yaml"])).unwrap_err();
         assert_eq!(err.exit_code(), 2);
     }
@@ -1536,6 +1532,12 @@ mod tests {
 
         let listed = run(&opts(&["dataset", "list", "--store", &store_dir])).unwrap();
         assert!(listed.contains(&fp), "{listed}");
+        let listed_json = run(&opts(&[
+            "dataset", "list", "--store", &store_dir, "--format", "json",
+        ]))
+        .unwrap();
+        assert!(listed_json.contains(&fp), "{listed_json}");
+        assert!(listed_json.contains("\"rows\":660"), "{listed_json}");
 
         // Publish twice at 2 shards: the repeat reuses every shard.
         let publish_args = |out: &str| {
@@ -1574,6 +1576,28 @@ mod tests {
             std::fs::read(&out2).unwrap(),
             "warm publish must write byte-identical CSV"
         );
+
+        // The JSON face of append, after the publishes it would change.
+        let appended_json = run(&opts(&[
+            "dataset",
+            "append",
+            "--store",
+            &store_dir,
+            "--dataset",
+            &fp,
+            "--input",
+            &batch,
+            "--format",
+            "json",
+        ]))
+        .unwrap();
+        assert!(
+            appended_json.contains("\"total_rows\":720"),
+            "{appended_json}"
+        );
+        for line in [&reg, &listed_json, &cold, &warm, &appended_json] {
+            assert_json_line(line);
+        }
 
         // Usage errors: missing action, bad fingerprint, unknown action.
         assert_eq!(

@@ -125,8 +125,10 @@ pub fn read_csv_with<R: BufRead>(
     Ok(builder.build())
 }
 
-/// Splits one CSV line, honouring double-quoted cells (`""` escapes a quote).
-fn split_csv_line(line: &str) -> Vec<String> {
+/// Splits one CSV line into trimmed cells, honouring double-quoted cells
+/// (`""` escapes a quote). The reader uses it for every line; the
+/// dataset store uses it to check an append batch's header.
+pub fn split_csv_line(line: &str) -> Vec<String> {
     let mut cells = Vec::new();
     let mut cur = String::new();
     let mut quoted = false;

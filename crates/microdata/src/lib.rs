@@ -52,7 +52,7 @@ pub mod samples;
 mod schema;
 mod table;
 
-pub use csvio::{read_csv, read_csv_with, write_generalized_csv, write_table_csv};
+pub use csvio::{read_csv, read_csv_with, split_csv_line, write_generalized_csv, write_table_csv};
 pub use eligibility::{is_l_eligible, l_eligible_histogram, max_l_for, SaHistogram};
 pub use error::MicrodataError;
 pub use fingerprint::Fnv1a;

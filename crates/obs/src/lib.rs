@@ -28,7 +28,7 @@ pub mod hist;
 pub mod registry;
 
 pub use hist::{percentile, Histogram, BUCKET_BOUNDS_NS};
-pub use registry::{validate_prometheus, Counter, CounterSnapshot, HistogramFamily, Registry};
+pub use registry::{validate_prometheus, Counter, HistogramFamily, Registry, Sample};
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};

@@ -1,9 +1,9 @@
-//! The metrics registry: one shared structure backing both `/stats`
-//! (JSON) and `/metrics` (Prometheus text) so the two surfaces cannot
-//! drift, plus a strict line-grammar validator for scrape output.
+//! The metrics registry: the counters and latency histograms a server
+//! owns, the [`Sample`] list both `/stats` (JSON) and `/metrics`
+//! (Prometheus text) render so the two surfaces cannot drift, plus a
+//! strict line-grammar validator for scrape output.
 
 use crate::hist::{seconds_text, Histogram, BUCKET_BOUNDS_NS};
-use std::fmt::Display;
 use std::sync::{Arc, Mutex};
 
 /// A monotonically increasing counter handle. Cloning shares the cell.
@@ -29,22 +29,37 @@ impl Counter {
     }
 }
 
-/// Point-in-time view of one registered counter, carrying both of its
-/// wire names so `/stats` and `/metrics` enumerate the same list.
+/// One reported value, read at scrape time and carrying both of its wire
+/// names. A scrape builds one list of these; `/stats` nests it by path
+/// and `/metrics` writes it series by series, so the two surfaces
+/// enumerate the same values in the same order.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CounterSnapshot {
-    /// JSON field name used by `/stats`.
-    pub key: &'static str,
-    /// Prometheus metric name used by `/metrics`.
+pub struct Sample {
+    /// Dotted `/stats` path (`cache.hits`): each dot nests one object.
+    pub path: &'static str,
+    /// Prometheus metric name used by `/metrics`. It also fixes the type:
+    /// a name ending in `_total` is a counter, any other a gauge.
     pub prom: &'static str,
     /// Help text.
     pub help: &'static str,
-    /// Counter value at snapshot time.
+    /// Value at scrape time.
     pub value: u64,
 }
 
+impl Sample {
+    /// A sample; see the field docs.
+    pub fn new(path: &'static str, prom: &'static str, help: &'static str, value: u64) -> Self {
+        Sample {
+            path,
+            prom,
+            help,
+            value,
+        }
+    }
+}
+
 struct CounterEntry {
-    key: &'static str,
+    path: &'static str,
     prom: &'static str,
     help: &'static str,
     counter: Counter,
@@ -138,9 +153,10 @@ fn escape_label_value(value: &str) -> String {
 }
 
 /// The registry: ordered counters plus histogram families. One instance
-/// per server; `/stats` iterates [`Registry::counter_snapshots`] and
-/// `/metrics` calls [`Registry::render_prometheus_into`], so both read
-/// the same cells in the same order.
+/// per server. A scrape starts its [`Sample`] list with
+/// [`Registry::counter_samples`] and appends the values other owners
+/// hold (cache, pool, store, config); `/metrics` then follows the list
+/// with [`Registry::render_histograms_into`].
 #[derive(Default)]
 pub struct Registry {
     counters: Mutex<Vec<CounterEntry>>,
@@ -153,16 +169,17 @@ impl Registry {
         Self::default()
     }
 
-    /// Registers (or fetches) a counter by JSON key. `prom`/`help` of an
-    /// existing key are kept from first registration.
-    pub fn counter(&self, key: &'static str, prom: &'static str, help: &'static str) -> Counter {
+    /// Registers (or fetches) a counter by `/stats` path; `prom` ends in
+    /// `_total`. `prom`/`help` of an existing path are kept from first
+    /// registration.
+    pub fn counter(&self, path: &'static str, prom: &'static str, help: &'static str) -> Counter {
         let mut counters = self.counters.lock().unwrap();
-        if let Some(entry) = counters.iter().find(|e| e.key == key) {
+        if let Some(entry) = counters.iter().find(|e| e.path == path) {
             return entry.counter.clone();
         }
         let counter = Counter::default();
         counters.push(CounterEntry {
-            key,
+            path,
             prom,
             help,
             counter: counter.clone(),
@@ -191,39 +208,37 @@ impl Registry {
         family
     }
 
-    /// Snapshots all counters in registration order.
-    pub fn counter_snapshots(&self) -> Vec<CounterSnapshot> {
+    /// Every counter as a [`Sample`], in registration order.
+    pub fn counter_samples(&self) -> Vec<Sample> {
         self.counters
             .lock()
             .unwrap()
             .iter()
-            .map(|e| CounterSnapshot {
-                key: e.key,
-                prom: e.prom,
-                help: e.help,
-                value: e.counter.get(),
-            })
+            .map(|e| Sample::new(e.path, e.prom, e.help, e.counter.get()))
             .collect()
     }
 
-    /// Renders counters then histogram families as Prometheus text, in
+    /// Renders the histogram families as Prometheus text, in
     /// registration order.
-    pub fn render_prometheus_into(&self, out: &mut String) {
-        for snap in self.counter_snapshots() {
-            write_metric(out, snap.prom, "counter", snap.help, snap.value);
-        }
+    pub fn render_histograms_into(&self, out: &mut String) {
         for family in self.families.lock().unwrap().iter() {
             family.render_into(out);
         }
     }
 }
 
-/// Writes one `# HELP`/`# TYPE`/sample triple (for counters and the
-/// live-sampled gauges that stay outside the registry).
-pub fn write_metric(out: &mut String, name: &str, kind: &str, help: &str, value: impl Display) {
-    out.push_str(&format!("# HELP {name} {help}\n"));
+/// Writes one sample as a `# HELP`/`# TYPE`/sample triple, typed
+/// `counter` when its name ends in `_total` and `gauge` otherwise.
+pub fn write_metric(out: &mut String, sample: &Sample) {
+    let name = sample.prom;
+    let kind = if name.ends_with("_total") {
+        "counter"
+    } else {
+        "gauge"
+    };
+    out.push_str(&format!("# HELP {name} {}\n", sample.help));
     out.push_str(&format!("# TYPE {name} {kind}\n"));
-    out.push_str(&format!("{name} {value}\n"));
+    out.push_str(&format!("{name} {}\n", sample.value));
 }
 
 fn is_name_start(c: char) -> bool {
@@ -429,24 +444,28 @@ mod tests {
         a.inc();
         b.add(2);
         assert_eq!(a.get(), 3);
-        let snaps = registry.counter_snapshots();
-        assert_eq!(snaps.len(), 1);
-        assert_eq!(snaps[0].key, "requests");
-        assert_eq!(snaps[0].prom, "ldiv_requests_total");
-        assert_eq!(snaps[0].value, 3);
+        assert_eq!(
+            registry.counter_samples(),
+            vec![Sample::new(
+                "requests",
+                "ldiv_requests_total",
+                "Total requests.",
+                3
+            )]
+        );
     }
 
     #[test]
-    fn snapshots_preserve_registration_order() {
+    fn samples_preserve_registration_order() {
         let registry = Registry::new();
         registry.counter("b_second", "ldiv_b_total", "B.");
         registry.counter("a_first", "ldiv_a_total", "A.");
-        let keys: Vec<_> = registry.counter_snapshots().iter().map(|s| s.key).collect();
-        assert_eq!(keys, vec!["b_second", "a_first"]);
+        let paths: Vec<_> = registry.counter_samples().iter().map(|s| s.path).collect();
+        assert_eq!(paths, vec!["b_second", "a_first"]);
     }
 
     #[test]
-    fn histogram_family_renders_and_validates() {
+    fn samples_and_histograms_render_valid_text() {
         let registry = Registry::new();
         registry
             .counter("requests", "ldiv_requests_total", "Total requests.")
@@ -457,8 +476,14 @@ mod tests {
         family.observe("/anonymize", Duration::from_millis(3));
         family.observe("/stats", Duration::from_micros(2));
         let mut out = String::new();
-        registry.render_prometheus_into(&mut out);
+        let gauge = Sample::new("workers", "ldiv_workers", "Worker threads.", 4);
+        for s in registry.counter_samples().iter().chain([&gauge]) {
+            write_metric(&mut out, s);
+        }
+        registry.render_histograms_into(&mut out);
         validate_prometheus(&out).expect("registry output is valid exposition text");
+        assert!(out.contains("# TYPE ldiv_requests_total counter\nldiv_requests_total 1\n"));
+        assert!(out.contains("# TYPE ldiv_workers gauge\nldiv_workers 4\n"));
         assert!(out.contains("# TYPE ldiv_request_duration_seconds histogram\n"));
         assert!(out.contains(
             "ldiv_request_duration_seconds_bucket{route=\"/anonymize\",le=\"+Inf\"} 2\n"
@@ -481,7 +506,7 @@ mod tests {
         let family = registry.histogram("ldiv_x_seconds", "X.", "route");
         family.observe("a\"b\\c\nd", Duration::from_micros(1));
         let mut out = String::new();
-        registry.render_prometheus_into(&mut out);
+        registry.render_histograms_into(&mut out);
         assert!(out.contains("route=\"a\\\"b\\\\c\\nd\""));
         validate_prometheus(&out).expect("escaped labels validate");
     }

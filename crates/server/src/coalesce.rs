@@ -30,9 +30,9 @@
 //! closures re-probing the cache under leadership.
 
 use crate::cache::CacheKey;
-use crate::wire::Json;
 use ldiv_api::LdivError;
 use ldiv_guard::classify_panic;
+use ldiv_wire::Json;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};

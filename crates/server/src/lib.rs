@@ -58,4 +58,3 @@ pub use coalesce::SingleFlight;
 pub use http::{Request, Response};
 pub use jobs::{PoolHealth, WorkerPool};
 pub use listener::{handle_request, AppState, Server, ServerConfig};
-pub use wire::Json;

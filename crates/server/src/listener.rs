@@ -14,8 +14,8 @@
 //! |---|---|
 //! | `GET /healthz` | liveness probe |
 //! | `GET /mechanisms` | registered mechanisms + descriptions |
-//! | `GET /stats` | request and cache hit/miss counters |
-//! | `GET /metrics` | the same counters in Prometheus text exposition format |
+//! | `GET /stats` | request, cache, coalesce, pool and store values |
+//! | `GET /metrics` | the same values in Prometheus text, plus latency histograms |
 //! | `POST /anonymize?algo=A&l=L[&fanout=F][&dataset=PATH]` | CSV body (or dataset file) → JSON publication summary |
 //! | `POST /sweep?l=L[&fanout=F][&dataset=PATH]` | every registered mechanism in parallel |
 //! | `POST /datasets` | CSV body → register in the persistent store (idempotent by content) |
@@ -34,14 +34,16 @@ use crate::cache::{CacheKey, LruCache};
 use crate::coalesce::{Outcome, SingleFlight};
 use crate::http::{parse_head, read_body, HttpError, Request, Response};
 use crate::jobs::{PoolHealth, WorkerPool};
-use crate::wire::{self, Json};
-use ldiv_api::{Deadline, LdivError, MechanismRegistry, Params};
+use crate::wire;
+use ldiv_api::{Deadline, LdivError, Mechanism, MechanismRegistry, Params, Publication};
 use ldiv_guard::{classify_panic, guarded};
 use ldiv_metrics::kl_divergence_with;
 use ldiv_microdata::{read_csv_with, Table};
 use ldiv_obs::registry::write_metric;
-use ldiv_obs::{Counter, HistogramFamily, Registry as MetricsRegistry};
+use ldiv_obs::{Counter, HistogramFamily, Registry as MetricsRegistry, Sample};
 use ldiv_store::{DatasetStore, StoreError};
+use ldiv_wire::Json;
+use std::borrow::Borrow;
 use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -159,15 +161,6 @@ struct CachedPublication {
     bin: Arc<OnceLock<Vec<u8>>>,
 }
 
-impl CachedPublication {
-    fn of(summary: Json) -> CachedPublication {
-        CachedPublication {
-            summary,
-            bin: Arc::new(OnceLock::new()),
-        }
-    }
-}
-
 /// A publication result ready for wire negotiation: the JSON summary to
 /// render, plus — when it was served from the cache — the shared handle
 /// to the line's encoded LDVW block. Fresh results carry no handle and
@@ -176,12 +169,9 @@ impl CachedPublication {
 struct Served {
     summary: Json,
     bin: Option<Arc<OnceLock<Vec<u8>>>>,
-}
-
-impl Served {
-    fn fresh(summary: Json) -> Served {
-        Served { summary, bin: None }
-    }
+    /// Whether this request ran the mechanism itself: a miss it led,
+    /// not a hit or a joined flight. Publish persists only these lines.
+    computed: bool,
 }
 
 /// Everything the routes share: the registry, the publication cache and
@@ -195,9 +185,10 @@ pub struct AppState {
     flights: SingleFlight,
     config: ServerConfig,
     store: Option<Arc<DatasetStore>>,
-    /// The one registry both `/stats` and `/metrics` enumerate — the
-    /// counter list exists exactly once, so the two surfaces can't
-    /// drift. Histogram families live here too.
+    /// The server's own counters and latency histograms. Each scrape
+    /// lists the counters together with the values other owners hold
+    /// ([`samples`]), and `/stats` and `/metrics` both render that one
+    /// list, so the two surfaces can't drift.
     metrics: MetricsRegistry,
     requests: Counter,
     anonymize_runs: Counter,
@@ -227,28 +218,10 @@ impl AppState {
                 .unwrap_or_else(|e| panic!("store root {}: {e}", root.display()));
             Arc::new(store)
         });
-        let mut cache = LruCache::new(config.cache_capacity);
-        if let Some(store) = &store {
-            // Reload persisted publish responses (rendered with
-            // `"cached": false`; `run_cached` flips the flag on hits).
-            // Entries that no longer parse are skipped — a corrupt file
-            // costs a recompute, never a failed startup.
-            for entry in store.load_responses() {
-                if let Some(summary) = Json::parse(&entry.body) {
-                    cache.insert(
-                        CacheKey {
-                            dataset: entry.dataset,
-                            mechanism: entry.mechanism,
-                            params: entry.params,
-                        },
-                        CachedPublication::of(summary),
-                    );
-                }
-            }
-        }
+        let cache = LruCache::new(config.cache_capacity);
         let metrics = MetricsRegistry::new();
-        // Registration order IS the `/stats` field order and the
-        // `/metrics` render order; keep it stable.
+        // Registration order IS the order of the counters on `/stats`
+        // and `/metrics`; keep it stable.
         let requests = metrics.counter("requests", "ldiv_requests_total", "HTTP requests routed");
         let anonymize_runs = metrics.counter(
             "anonymize_runs",
@@ -280,7 +253,7 @@ impl AppState {
             "Anonymization run latency by mechanism (log2 buckets).",
             "mechanism",
         );
-        AppState {
+        let state = AppState {
             registry,
             cache: Mutex::new(cache),
             flights: SingleFlight::new(),
@@ -295,7 +268,24 @@ impl AppState {
             request_hist,
             run_hist,
             pool_health: OnceLock::new(),
+        };
+        if let Some(store) = &state.store {
+            // Reload persisted publish responses (rendered with
+            // `"cached": false`; `lookup_cached` flips the flag on hits).
+            // Entries that no longer parse are skipped — a corrupt file
+            // costs a recompute, never a failed startup.
+            for entry in store.load_responses() {
+                if let Some(summary) = Json::parse(&entry.body) {
+                    let key = CacheKey {
+                        dataset: entry.dataset,
+                        mechanism: entry.mechanism,
+                        params: entry.params,
+                    };
+                    state.remember(key, summary);
+                }
+            }
         }
+        state
     }
 
     /// The mechanism registry the server dispatches into.
@@ -330,26 +320,20 @@ impl AppState {
         self.lock_cache().stats()
     }
 
-    /// Keys with a coalesced computation currently in flight.
-    pub fn coalesce_in_flight(&self) -> usize {
-        self.flights.in_flight()
-    }
-
-    /// Requests currently parked on an in-flight identical computation —
-    /// the gauge the storm tests poll to know a fan-in has formed.
-    pub fn coalesce_waiting(&self) -> usize {
-        self.flights.waiting()
+    /// Stores a publication summary (its `"cached": false` face) as a
+    /// cache line.
+    fn remember(&self, key: CacheKey, summary: Json) {
+        let line = CachedPublication {
+            summary,
+            bin: Arc::new(OnceLock::new()),
+        };
+        self.lock_cache().insert(key, line);
     }
 
     /// Wires the worker pool's health gauge into `/stats` (done once by
     /// [`Server::bind`]; states without a pool simply omit the field).
     pub fn attach_pool_health(&self, health: Arc<PoolHealth>) {
         let _ = self.pool_health.set(health);
-    }
-
-    /// The worker pool's live health, when a pool is attached.
-    pub fn pool_health(&self) -> Option<&Arc<PoolHealth>> {
-        self.pool_health.get()
     }
 
     /// The `/stats` document (also what the CLI logs as its final
@@ -384,12 +368,32 @@ fn status_for(err: &LdivError) -> u16 {
     }
 }
 
-fn error_response(err: &LdivError) -> Response {
+/// The response for a domain error, counting it when it was a converted
+/// panic.
+fn error_response(state: &AppState, err: &LdivError) -> Response {
+    state.count_if_panic(err);
     Response::json(status_for(err), wire::error_json(err).render())
 }
 
 fn usage(msg: impl Into<String>) -> LdivError {
     LdivError::Usage(msg.into())
+}
+
+/// A `usage`-kind error response with an explicit status: routing
+/// misses and HTTP framing errors, which no domain error maps onto.
+fn usage_response(status: u16, msg: impl Into<String>) -> Response {
+    Response::json(status, wire::error_json(&usage(msg)).render())
+}
+
+fn method_not_allowed(req: &Request) -> Response {
+    usage_response(
+        405,
+        format!("method {} not allowed on {}", req.method, req.path),
+    )
+}
+
+fn no_route(req: &Request) -> Response {
+    usage_response(404, format!("no route for '{}'", req.path))
 }
 
 /// The bounded-cardinality route class a request falls in — the label
@@ -460,46 +464,20 @@ pub fn handle_request(state: &AppState, req: &Request) -> Response {
 ///
 /// Strictly a post-render transform: routing, the publication cache and
 /// canonical params have already run on the JSON face, so negotiation
-/// can never perturb a cache key or a default body. Two triggers:
-///
-/// * The client asked for binary (`?format=bin` or
-///   `Accept: application/x-ldiv-bin`) and the response is a JSON 2xx —
-///   the body is re-encoded as one LDVW block. Error bodies stay JSON
-///   so a failing client always gets readable text.
-/// * The ambient `LDIV_WIRE=bin` differential drive is on — every JSON
-///   body (success *and* error) is pushed through `decode(encode(x))`
-///   and re-rendered. The bytes are identical by the round-trip
-///   identity; any disagreement is answered as a loud 500 instead of
-///   silently serving either face.
+/// can never perturb a cache key or a default body. When the client
+/// asked for binary (`?format=bin` or `Accept: application/x-ldiv-bin`)
+/// and the response is a JSON 2xx, the body is re-encoded as one LDVW
+/// block. Error bodies stay JSON so a failing client always gets
+/// readable text.
 fn finalize_wire(req: &Request, response: Response) -> Response {
-    if response.content_type != "application/json" {
-        return response;
-    }
-    let bin_requested = response.status < 400 && wants_binary(req);
-    if !bin_requested && !ldiv_wire::env_wire_bin() {
+    if response.content_type != "application/json" || response.status >= 400 || !wants_binary(req) {
         return response;
     }
     let Some(value) = Json::parse(&response.body) else {
         return response;
     };
-    if bin_requested {
-        let _render = ldiv_obs::span_labeled("wire:render", || "bin".to_string());
-        return response.into_binary(ldiv_wire::encode(&value));
-    }
-    match ldiv_wire::decode(&ldiv_wire::encode(&value)) {
-        Ok(round) if round == value => {
-            let mut driven = response;
-            driven.body = round.render();
-            driven
-        }
-        _ => Response::json(
-            500,
-            wire::error_json(&LdivError::Internal(
-                "wire equivalence violation: decode(encode(body)) != body".into(),
-            ))
-            .render(),
-        ),
-    }
+    let _render = ldiv_obs::span_labeled("wire:render", || "bin".to_string());
+    response.into_binary(ldiv_wire::encode(&value))
 }
 
 /// Whether the request negotiated the binary wire format. The explicit
@@ -535,17 +513,11 @@ fn route_request(state: &AppState, req: &Request) -> Response {
         ("GET", "/trace") => Response::json(200, trace_json(req).render()),
         ("POST", "/anonymize") => match anonymize_route(state, req) {
             Ok(served) => respond_publication(req, served),
-            Err(e) => {
-                state.count_if_panic(&e);
-                error_response(&e)
-            }
+            Err(e) => error_response(state, &e),
         },
         ("POST", "/sweep") => match sweep_route(state, req) {
             Ok(json) => Response::json(200, render_summary(json)),
-            Err(e) => {
-                state.count_if_panic(&e);
-                error_response(&e)
-            }
+            Err(e) => error_response(state, &e),
         },
         ("GET", "/anonymize")
         | ("GET", "/sweep")
@@ -553,18 +525,8 @@ fn route_request(state: &AppState, req: &Request) -> Response {
         | ("POST", "/mechanisms")
         | ("POST", "/stats")
         | ("POST", "/metrics")
-        | ("POST", "/trace") => Response::json(
-            405,
-            wire::error_json(&usage(format!(
-                "method {} not allowed on {}",
-                req.method, req.path
-            )))
-            .render(),
-        ),
-        (_, path) => Response::json(
-            404,
-            wire::error_json(&usage(format!("no route for '{path}'"))).render(),
-        ),
+        | ("POST", "/trace") => method_not_allowed(req),
+        _ => no_route(req),
     }
 }
 
@@ -661,13 +623,7 @@ fn datasets_route(state: &AppState, req: &Request) -> Response {
     let result = match (req.method.as_str(), tail) {
         ("POST", "") => register_route(state, req),
         ("GET", "") => list_datasets_route(state),
-        (method, "") => {
-            return Response::json(
-                405,
-                wire::error_json(&usage(format!("method {method} not allowed on /datasets")))
-                    .render(),
-            )
-        }
+        (_, "") => return method_not_allowed(req),
         (method, tail) => {
             let tail = tail.trim_start_matches('/');
             let (fp_text, action) = match tail.split_once('/') {
@@ -675,12 +631,9 @@ fn datasets_route(state: &AppState, req: &Request) -> Response {
                 None => (tail, ""),
             };
             let Some(fp) = ldiv_store::parse_fingerprint(fp_text) else {
-                return Response::json(
+                return usage_response(
                     404,
-                    wire::error_json(&usage(format!(
-                        "'{fp_text}' is not a dataset fingerprint (16 hex digits)"
-                    )))
-                    .render(),
+                    format!("'{fp_text}' is not a dataset fingerprint (16 hex digits)"),
                 );
             };
             match (method, action) {
@@ -697,21 +650,9 @@ fn datasets_route(state: &AppState, req: &Request) -> Response {
                     }
                 }
                 ("POST", "") | ("GET", "append") | ("GET", "publish") => {
-                    return Response::json(
-                        405,
-                        wire::error_json(&usage(format!(
-                            "method {method} not allowed on {}",
-                            req.path
-                        )))
-                        .render(),
-                    )
+                    return method_not_allowed(req)
                 }
-                _ => {
-                    return Response::json(
-                        404,
-                        wire::error_json(&usage(format!("no route for '{}'", req.path))).render(),
-                    )
-                }
+                _ => return no_route(req),
             }
         }
     };
@@ -722,23 +663,14 @@ fn datasets_route(state: &AppState, req: &Request) -> Response {
 }
 
 /// Maps a store-route failure onto its response: `NotFound` → 404,
-/// anything else through the shared domain-error mapping (counting
-/// converted panics on the way).
+/// anything else through the shared domain-error mapping.
 fn store_error_response(state: &AppState, e: StoreError) -> Response {
     match e {
-        StoreError::NotFound(fp) => Response::json(
+        StoreError::NotFound(fp) => usage_response(
             404,
-            wire::error_json(&usage(format!(
-                "dataset {} is not registered",
-                wire::fingerprint_hex(fp)
-            )))
-            .render(),
+            format!("dataset {} is not registered", wire::fingerprint_hex(fp)),
         ),
-        e => {
-            let e = LdivError::from(e);
-            state.count_if_panic(&e);
-            error_response(&e)
-        }
+        e => error_response(state, &LdivError::from(e)),
     }
 }
 
@@ -854,8 +786,8 @@ fn list_datasets_route(state: &AppState) -> Result<Json, StoreError> {
 /// `publication_json` as `/anonymize` — byte-identical over the same rows;
 /// reuse accounting goes to the store counters, never the body.
 ///
-/// Misses single-flight on the lineage key, like [`run_cached`]: one
-/// leader publishes (and persists the durable cache line), concurrent
+/// Misses single-flight on the lineage key ([`serve_publication`]): one
+/// leader publishes and persists the durable cache line, concurrent
 /// duplicates park and receive the same summary.
 fn publish_route(state: &AppState, req: &Request, fp: u64) -> Result<Served, StoreError> {
     let store = store_of(state)?;
@@ -865,260 +797,241 @@ fn publish_route(state: &AppState, req: &Request, fp: u64) -> Result<Served, Sto
     let params = params_from(state, req)?;
     let mechanism = state.registry.get_or_unknown(name)?;
     let lineage = store.dataset(fp)?.lineage();
-    let key = CacheKey {
-        dataset: lineage,
-        mechanism: mechanism.name().to_ascii_lowercase(),
-        params: params.canonical(),
-    };
-    if let Some(found) = lookup_cached(state, &key) {
-        return Ok(found);
-    }
-    let compute = || -> Result<Json, LdivError> {
-        let summary = guarded("datasets:publish", || {
-            let started = Instant::now();
+    let key = publication_key(lineage, mechanism, &params);
+    let served = guarded("datasets:publish", || {
+        serve_publication(state, "datasets:publish", &key, &params, || {
             let outcome = store
                 .publish(fp, mechanism, &params)
                 .map_err(LdivError::from)?;
-            // Success-only observation: failed runs have no meaningful
-            // mechanism latency (they may have died at parse or at t=0).
-            state.run_hist.observe(&key.mechanism, started.elapsed());
-            state.anonymize_runs.inc();
-            let kl = kl_divergence_with(&outcome.table, &outcome.publication, &params.executor());
-            Ok(wire::publication_json(
-                &outcome.table,
-                &outcome.publication,
-                &params,
-                kl,
-            ))
-        })?;
-        state
-            .lock_cache()
-            .insert(key.clone(), CachedPublication::of(summary.clone()));
+            Ok((outcome.table, outcome.publication))
+        })
+    })?;
+    if served.computed {
         // Durable cache line: reloaded into the in-memory cache on restart.
-        store.persist_response(lineage, &key.mechanism, &key.params, &summary.render());
-        Ok(summary)
-    };
-    if state.config.cache_capacity == 0 {
-        return compute().map(Served::fresh).map_err(StoreError::from);
+        store.persist_response(
+            lineage,
+            &key.mechanism,
+            &key.params,
+            &served.summary.render(),
+        );
     }
-    let outcome = state.flights.join("datasets:publish", &key, || {
-        if let Some(found) = reprobe(state, &key) {
-            return Ok(found);
-        }
-        compute()
-    });
-    serve_outcome(state, outcome).map_err(StoreError::from)
+    Ok(served)
 }
 
-fn stats_json(state: &AppState) -> Json {
-    let cache = state.cache_stats();
-    let mut json = Json::obj();
-    // The counter block comes straight off the shared registry, in
-    // registration order — the same enumeration `/metrics` renders, so
-    // the two surfaces cannot disagree on what exists or what it's worth.
-    for c in state.metrics.counter_snapshots() {
-        json = json.field(c.key, c.value as i64);
-    }
-    json = json
-        .field("workers", state.config.workers)
-        .field("queue_depth", state.config.queue_depth)
-        .field("run_threads", state.config.threads)
-        .field("run_shards", state.config.resolved_shards())
-        .field("deadline_ms", state.config.deadline_ms as i64);
-    // The pool gauge exists only when a real server attached one; the
-    // pure-routing test states simply omit it.
-    if let Some(health) = state.pool_health() {
-        json = json.field(
-            "pool",
-            Json::obj()
-                .field("alive", health.alive())
-                .field("target", state.config.workers)
-                // Panics that escaped all the way to the worker loop —
-                // the route-level `guarded` boundaries normally convert
-                // them first (counted in the top-level gauge above).
-                .field("worker_panics", health.panics_caught() as i64)
-                .field("respawned", health.respawned() as i64),
-        );
+/// Every value `/stats` and `/metrics` report, read once per scrape, in
+/// `/stats` order: the registry's counters, then the values whose
+/// authoritative owners live elsewhere (config, pool, store, single-flight
+/// table, cache), read live rather than double-booked into the registry.
+/// The pool group exists only when a real server attached one, the store
+/// group only with a store root.
+fn samples(state: &AppState) -> Vec<Sample> {
+    let config = &state.config;
+    let mut samples = state.metrics.counter_samples();
+    samples.extend([
+        Sample::new(
+            "workers",
+            "ldiv_workers",
+            "Configured worker threads",
+            config.workers as u64,
+        ),
+        Sample::new(
+            "queue_depth",
+            "ldiv_queue_depth",
+            "Bounded connection queue depth",
+            config.queue_depth as u64,
+        ),
+        Sample::new(
+            "run_threads",
+            "ldiv_run_threads",
+            "Intra-run thread budget (0 = auto)",
+            config.threads.into(),
+        ),
+        Sample::new(
+            "run_shards",
+            "ldiv_run_shards",
+            "Partition-level shards per run",
+            config.resolved_shards().into(),
+        ),
+        Sample::new(
+            "deadline_ms",
+            "ldiv_deadline_ms",
+            "Per-request time budget in milliseconds (0 = unlimited)",
+            config.deadline_ms,
+        ),
+    ]);
+    if let Some(health) = state.pool_health.get() {
+        samples.extend([
+            Sample::new(
+                "pool.alive",
+                "ldiv_pool_alive",
+                "Worker threads currently alive",
+                health.alive() as u64,
+            ),
+            Sample::new(
+                "pool.target",
+                "ldiv_pool_target",
+                "Worker threads the pool keeps alive",
+                config.workers as u64,
+            ),
+            // Panics that escaped all the way to the worker loop: the
+            // route-level `guarded` boundaries normally convert them
+            // first (counted in `panics_caught`).
+            Sample::new(
+                "pool.worker_panics",
+                "ldiv_pool_worker_panics_total",
+                "Panics that reached the worker loop",
+                health.panics_caught(),
+            ),
+            Sample::new(
+                "pool.respawned",
+                "ldiv_pool_respawned_total",
+                "Workers respawned after a panic",
+                health.respawned(),
+            ),
+        ]);
     }
     if let Some(store) = &state.store {
         let s = store.stats();
-        json = json.field(
-            "store",
-            Json::obj()
-                .field("datasets", s.datasets)
-                .field("segments", s.segments)
-                .field("rows", s.rows)
-                .field("shard_records", s.shard_records)
-                .field("persisted_responses", s.persisted_responses)
-                .field("registers", s.registers as i64)
-                .field("appends", s.appends as i64)
-                .field("appended_rows", s.appended_rows as i64)
-                .field("publishes", s.publishes as i64)
-                .field("shards_computed", s.shards_computed as i64)
-                .field("shards_reused", s.shards_reused as i64),
-        );
+        samples.extend([
+            Sample::new(
+                "store.datasets",
+                "ldiv_store_datasets",
+                "Datasets registered in the store",
+                s.datasets as u64,
+            ),
+            Sample::new(
+                "store.segments",
+                "ldiv_store_segments",
+                "Immutable segments on disk",
+                s.segments as u64,
+            ),
+            Sample::new(
+                "store.rows",
+                "ldiv_store_rows",
+                "Rows on disk across all datasets",
+                s.rows as u64,
+            ),
+            Sample::new(
+                "store.shard_records",
+                "ldiv_store_shard_records",
+                "Persisted per-shard results on disk",
+                s.shard_records as u64,
+            ),
+            Sample::new(
+                "store.persisted_responses",
+                "ldiv_store_persisted_responses",
+                "Persisted publication responses on disk",
+                s.persisted_responses as u64,
+            ),
+            Sample::new(
+                "store.registers",
+                "ldiv_store_registers_total",
+                "Datasets registered by this process",
+                s.registers,
+            ),
+            Sample::new(
+                "store.appends",
+                "ldiv_store_appends_total",
+                "Segments appended by this process",
+                s.appends,
+            ),
+            Sample::new(
+                "store.appended_rows",
+                "ldiv_store_appended_rows_total",
+                "Rows ingested via append by this process",
+                s.appended_rows,
+            ),
+            Sample::new(
+                "store.publishes",
+                "ldiv_store_publishes_total",
+                "Incremental publishes by this process",
+                s.publishes,
+            ),
+            Sample::new(
+                "store.shards_computed",
+                "ldiv_store_shards_computed_total",
+                "Shards that ran the mechanism",
+                s.shards_computed,
+            ),
+            Sample::new(
+                "store.shards_reused",
+                "ldiv_store_shards_reused_total",
+                "Shards reloaded from persisted results",
+                s.shards_reused,
+            ),
+        ]);
     }
-    // Live single-flight gauges; the cumulative `coalesced` counter is
-    // in the counter block above.
-    json = json.field(
-        "coalesce",
-        Json::obj()
-            .field("in_flight", state.flights.in_flight())
-            .field("waiting", state.flights.waiting()),
-    );
-    json.field(
-        "cache",
-        Json::obj()
-            .field("hits", cache.hits as i64)
-            .field("misses", cache.misses as i64)
-            .field("entries", cache.entries)
-            .field("capacity", cache.capacity)
-            .field("evictions", cache.evictions as i64),
-    )
+    let (flights, cache) = (&state.flights, state.cache_stats());
+    samples.extend([
+        Sample::new(
+            "coalesce.in_flight",
+            "ldiv_coalesce_in_flight",
+            "Coalesced computations currently in flight",
+            flights.in_flight() as u64,
+        ),
+        Sample::new(
+            "coalesce.waiting",
+            "ldiv_coalesce_waiting",
+            "Requests parked on an in-flight identical computation",
+            flights.waiting() as u64,
+        ),
+        Sample::new(
+            "cache.hits",
+            "ldiv_cache_hits_total",
+            "Publication cache hits",
+            cache.hits,
+        ),
+        Sample::new(
+            "cache.misses",
+            "ldiv_cache_misses_total",
+            "Publication cache misses",
+            cache.misses,
+        ),
+        Sample::new(
+            "cache.entries",
+            "ldiv_cache_entries",
+            "Publication cache entries held",
+            cache.entries as u64,
+        ),
+        Sample::new(
+            "cache.capacity",
+            "ldiv_cache_capacity",
+            "Publication cache capacity in entries",
+            cache.capacity as u64,
+        ),
+        Sample::new(
+            "cache.evictions",
+            "ldiv_cache_evictions_total",
+            "Publication cache evictions",
+            cache.evictions,
+        ),
+    ]);
+    samples
 }
 
-/// The `GET /metrics` body: the registry's counters and latency
-/// histograms, followed by the live-sampled gauges (cache, pool, store)
-/// that have authoritative owners elsewhere and are read at scrape time
-/// rather than double-booked into the registry.
+/// The `/stats` document: the sample list nested by path.
+fn stats_json(state: &AppState) -> Json {
+    let mut fields: Vec<(String, Json)> = Vec::new();
+    for sample in samples(state) {
+        let value = Json::Int(sample.value as i64);
+        match sample.path.split_once('.') {
+            None => fields.push((sample.path.to_string(), value)),
+            Some((group, leaf)) => match fields.iter_mut().find(|(name, _)| name == group) {
+                Some((_, object)) => object.set(leaf, value),
+                None => fields.push((group.to_string(), Json::obj().field(leaf, value))),
+            },
+        }
+    }
+    Json::Obj(fields)
+}
+
+/// The `GET /metrics` body: the sample list, then the latency histograms.
 fn metrics_text(state: &AppState) -> String {
     let mut out = String::new();
-    state.metrics.render_prometheus_into(&mut out);
-    let mut metric = |name: &str, kind: &str, help: &str, value: u64| {
-        write_metric(&mut out, name, kind, help, value);
-    };
-    let cache = state.cache_stats();
-    metric(
-        "ldiv_cache_hits_total",
-        "counter",
-        "Publication cache hits",
-        cache.hits,
-    );
-    metric(
-        "ldiv_cache_misses_total",
-        "counter",
-        "Publication cache misses",
-        cache.misses,
-    );
-    metric(
-        "ldiv_cache_evictions_total",
-        "counter",
-        "Publication cache evictions",
-        cache.evictions,
-    );
-    metric(
-        "ldiv_cache_entries",
-        "gauge",
-        "Publication cache entries held",
-        cache.entries as u64,
-    );
-    metric(
-        "ldiv_coalesce_in_flight",
-        "gauge",
-        "Coalesced computations currently in flight",
-        state.flights.in_flight() as u64,
-    );
-    metric(
-        "ldiv_coalesce_waiting",
-        "gauge",
-        "Requests parked on an in-flight identical computation",
-        state.flights.waiting() as u64,
-    );
-    metric(
-        "ldiv_workers",
-        "gauge",
-        "Configured worker threads",
-        state.config.workers as u64,
-    );
-    if let Some(health) = state.pool_health() {
-        metric(
-            "ldiv_pool_alive",
-            "gauge",
-            "Worker threads currently alive",
-            health.alive() as u64,
-        );
-        metric(
-            "ldiv_pool_worker_panics_total",
-            "counter",
-            "Panics that reached the worker loop",
-            health.panics_caught(),
-        );
-        metric(
-            "ldiv_pool_respawned_total",
-            "counter",
-            "Workers respawned after a panic",
-            health.respawned(),
-        );
+    for s in samples(state) {
+        write_metric(&mut out, &s);
     }
-    if let Some(store) = &state.store {
-        let s = store.stats();
-        metric(
-            "ldiv_store_datasets",
-            "gauge",
-            "Datasets registered in the store",
-            s.datasets as u64,
-        );
-        metric(
-            "ldiv_store_segments",
-            "gauge",
-            "Immutable segments on disk",
-            s.segments as u64,
-        );
-        metric(
-            "ldiv_store_rows",
-            "gauge",
-            "Rows on disk across all datasets",
-            s.rows as u64,
-        );
-        metric(
-            "ldiv_store_shard_records",
-            "gauge",
-            "Persisted per-shard results on disk",
-            s.shard_records as u64,
-        );
-        metric(
-            "ldiv_store_persisted_responses",
-            "gauge",
-            "Persisted publication responses on disk",
-            s.persisted_responses as u64,
-        );
-        metric(
-            "ldiv_store_registers_total",
-            "counter",
-            "Datasets registered by this process",
-            s.registers,
-        );
-        metric(
-            "ldiv_store_appends_total",
-            "counter",
-            "Segments appended by this process",
-            s.appends,
-        );
-        metric(
-            "ldiv_store_appended_rows_total",
-            "counter",
-            "Rows ingested via append by this process",
-            s.appended_rows,
-        );
-        metric(
-            "ldiv_store_publishes_total",
-            "counter",
-            "Incremental publishes by this process",
-            s.publishes,
-        );
-        metric(
-            "ldiv_store_shards_computed_total",
-            "counter",
-            "Shards that ran the mechanism",
-            s.shards_computed,
-        );
-        metric(
-            "ldiv_store_shards_reused_total",
-            "counter",
-            "Shards reloaded from persisted results",
-            s.shards_reused,
-        );
-    }
+    state.metrics.render_histograms_into(&mut out);
     out
 }
 
@@ -1196,17 +1109,19 @@ fn table_from(state: &AppState, req: &Request, params: &Params) -> Result<Table,
     }
 }
 
-/// Runs one mechanism over the table with the cache in front: the key is
-/// (dataset fingerprint, resolved mechanism name, canonical params). On a
-/// hit the stored summary is returned with `"cached": true`.
-///
-/// Misses are **single-flight**: concurrent identical misses coalesce
-/// onto one leader's run (see [`crate::coalesce`]), so a duplicate
-/// storm costs one anonymization, not fan-in of them. Followers get the
-/// leader's fresh summary byte-for-byte (no `cached` flip — they rode
-/// the computation, they didn't hit the cache). Coalescing rides the
-/// cache: with caching disabled (capacity 0) every request computes,
-/// which the chaos suite depends on.
+/// The cache key of one publication: the dataset (content fingerprint, or
+/// store lineage), the resolved mechanism name and the canonical params.
+fn publication_key(dataset: u64, mechanism: &dyn Mechanism, params: &Params) -> CacheKey {
+    CacheKey {
+        dataset,
+        mechanism: mechanism.name().to_ascii_lowercase(),
+        params: params.canonical(),
+    }
+}
+
+/// Runs mechanism `name` over a parsed table (`/anonymize`, and each
+/// `/sweep` mechanism) through [`serve_publication`], keyed by the
+/// table's content fingerprint.
 fn run_cached(
     state: &AppState,
     table: &Table,
@@ -1215,53 +1130,81 @@ fn run_cached(
     params: &Params,
 ) -> Result<Served, LdivError> {
     let mechanism = state.registry.get_or_unknown(name)?;
-    let key = CacheKey {
-        dataset: fingerprint,
-        mechanism: mechanism.name().to_ascii_lowercase(),
-        params: params.canonical(),
-    };
-    if let Some(found) = lookup_cached(state, &key) {
-        return Ok(found);
-    }
-    let compute = || -> Result<Json, LdivError> {
+    let key = publication_key(fingerprint, mechanism, params);
+    serve_publication(state, "anonymize", &key, params, || {
         // The sharding driver honours `params.shards` (a mechanism alone
         // would not); with a resolved count of 1 this is `anonymize`
         // itself.
-        let started = Instant::now();
-        let publication = ldiv_shard::anonymize_sharded(mechanism, table, params)?;
-        // Success-only observation, keyed by resolved mechanism name.
-        state.run_hist.observe(&key.mechanism, started.elapsed());
-        state.anonymize_runs.inc();
-        let kl = kl_divergence_with(table, &publication, &params.executor());
-        let summary = wire::publication_json(table, &publication, params, kl);
-        state
-            .lock_cache()
-            .insert(key.clone(), CachedPublication::of(summary.clone()));
-        Ok(summary)
-    };
-    if state.config.cache_capacity == 0 {
-        return compute().map(Served::fresh);
-    }
-    let outcome = state.flights.join("anonymize", &key, || {
-        if let Some(found) = reprobe(state, &key) {
-            return Ok(found);
-        }
-        compute()
-    });
-    serve_outcome(state, outcome)
+        Ok((
+            table,
+            ldiv_shard::anonymize_sharded(mechanism, table, params)?,
+        ))
+    })
 }
 
-/// Counts and unwraps a single-flight outcome: leaders pass their result
-/// through, followers bump `ldiv_coalesced_total` (success or failure —
-/// either way the request was answered by someone else's computation).
-fn serve_outcome(state: &AppState, outcome: Outcome) -> Result<Served, LdivError> {
-    match outcome {
-        Outcome::Led(result) => result.map(Served::fresh),
+/// The publication cache in front of one run: the one path every
+/// publishing route takes. A hit returns the stored summary with
+/// `"cached": true`.
+///
+/// Misses are **single-flight**: concurrent identical misses coalesce
+/// onto one leader (see [`crate::coalesce`]), so a duplicate storm costs
+/// one run, not fan-in of them. The leader re-probes the cache, then
+/// calls `run` for the table and its publication, measures KL, builds
+/// the summary and caches it; a failed run is never cached. Followers get
+/// the leader's fresh summary byte-for-byte (no `cached` flip — they
+/// rode the computation, they didn't hit the cache) and count into
+/// `ldiv_coalesced_total`, success or failure. Coalescing rides the
+/// cache: with caching disabled (capacity 0) every request computes,
+/// which the chaos suite depends on.
+///
+/// `ldiv_run_duration_seconds` times `run` alone, and only on success: a
+/// failed run has no meaningful mechanism latency. `label` names the
+/// flight for panic classification, like the route's `guarded` label.
+fn serve_publication<T: Borrow<Table>>(
+    state: &AppState,
+    label: &str,
+    key: &CacheKey,
+    params: &Params,
+    run: impl FnOnce() -> Result<(T, Publication), LdivError>,
+) -> Result<Served, LdivError> {
+    if let Some(hit) = lookup_cached(state, key) {
+        return Ok(hit);
+    }
+    let mut computed = false;
+    let compute = || -> Result<Json, LdivError> {
+        let started = Instant::now();
+        let (table, publication) = run()?;
+        state.run_hist.observe(&key.mechanism, started.elapsed());
+        state.anonymize_runs.inc();
+        let table = table.borrow();
+        let kl = kl_divergence_with(table, &publication, &params.executor());
+        let summary = wire::publication_json(table, &publication, params, kl);
+        state.remember(key.clone(), summary.clone());
+        computed = true;
+        Ok(summary)
+    };
+    let outcome = if state.config.cache_capacity == 0 {
+        Outcome::Led(compute())
+    } else {
+        state
+            .flights
+            .join(label, key, || match reprobe(state, key) {
+                Some(hit) => Ok(hit),
+                None => compute(),
+            })
+    };
+    let summary = match outcome {
+        Outcome::Led(result) => result?,
         Outcome::Joined(result) => {
             state.coalesced.inc();
-            result.map(Served::fresh)
+            result?
         }
-    }
+    };
+    Ok(Served {
+        summary,
+        bin: None,
+        computed,
+    })
 }
 
 /// A cache probe under its own `cache:lookup` span — hits short-circuit
@@ -1271,6 +1214,7 @@ fn lookup_cached(state: &AppState, key: &CacheKey) -> Option<Served> {
     state.lock_cache().get(key).map(|found| Served {
         summary: found.summary.clone().field("cached", true),
         bin: Some(Arc::clone(&found.bin)),
+        computed: false,
     })
 }
 
@@ -1532,19 +1476,12 @@ fn serve_connection(state: &AppState, stream: TcpStream) {
                 // this socket — no dropped connections under faults.
                 Ok(()) => match guarded("request", || Ok(handle_request(state, &request))) {
                     Ok(response) => response,
-                    Err(e) => {
-                        state.count_if_panic(&e);
-                        error_response(&e)
-                    }
+                    Err(e) => error_response(state, &e),
                 },
-                Err(HttpError { status, message }) => {
-                    Response::json(status, wire::error_json(&usage(message)).render())
-                }
+                Err(HttpError { status, message }) => usage_response(status, message),
             }
         }
-        Err(HttpError { status, message }) => {
-            Response::json(status, wire::error_json(&usage(message)).render())
-        }
+        Err(HttpError { status, message }) => usage_response(status, message),
     };
     let mut writer = BufWriter::new(stream);
     let _write = ldiv_obs::span("http:write");
@@ -1866,6 +1803,14 @@ mod tests {
         csv
     }
 
+    /// The fingerprint a register response names.
+    fn dataset_fp(body: &str) -> String {
+        match Json::parse(body).and_then(|j| j.get("dataset").cloned()) {
+            Some(Json::Str(fp)) => fp,
+            _ => panic!("register returns the fingerprint: {body}"),
+        }
+    }
+
     fn store_state(root: &std::path::Path) -> AppState {
         AppState::new(
             MechanismRegistry::new().with(Box::new(Whole("alpha"))),
@@ -1886,12 +1831,7 @@ mod tests {
         assert_eq!(reg.status, 200, "{}", reg.body);
         assert!(reg.body.contains("\"created\":true"), "{}", reg.body);
         assert!(reg.body.contains("\"rows\":10"), "{}", reg.body);
-        let fp = Json::parse(&reg.body)
-            .and_then(|j| match j.get("dataset") {
-                Some(Json::Str(s)) => Some(s.clone()),
-                _ => None,
-            })
-            .expect("register returns the fingerprint");
+        let fp = dataset_fp(&reg.body);
 
         // Idempotent by content.
         let again = handle_request(&state, &post("/datasets", &[], &hospital_csv()));
@@ -1959,12 +1899,7 @@ mod tests {
         let state = store_state(&root);
 
         let reg = handle_request(&state, &post("/datasets", &[], &hospital_csv()));
-        let fp = Json::parse(&reg.body)
-            .and_then(|j| match j.get("dataset") {
-                Some(Json::Str(s)) => Some(s.clone()),
-                _ => None,
-            })
-            .unwrap();
+        let fp = dataset_fp(&reg.body);
         let append = handle_request(
             &state,
             &post(&format!("/datasets/{fp}/append"), &[], &batch_csv()),
@@ -2021,12 +1956,7 @@ mod tests {
         {
             let state = store_state(&root);
             let reg = handle_request(&state, &post("/datasets", &[], &hospital_csv()));
-            fp = Json::parse(&reg.body)
-                .and_then(|j| match j.get("dataset") {
-                    Some(Json::Str(s)) => Some(s.clone()),
-                    _ => None,
-                })
-                .unwrap();
+            fp = dataset_fp(&reg.body);
             let published = handle_request(
                 &state,
                 &post(

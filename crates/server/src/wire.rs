@@ -1,11 +1,10 @@
 //! The JSON wire shapes shared by the server and the CLI's
 //! `--format json` outputs.
 //!
-//! The value type itself ([`Json`]) lives in `ldiv-wire` (re-exported
-//! here so existing `ldiv_server::wire::Json` callers keep working);
-//! this module carries the canonical renderings of the workspace's
-//! response shapes: publication summaries, dataset statistics, mechanism
-//! listings and errors. Keeping them here — rather than ad-hoc
+//! The value type itself ([`Json`]) lives in `ldiv-wire`; this module
+//! carries the canonical renderings of the workspace's response shapes:
+//! publication summaries, dataset statistics, mechanism listings and
+//! errors. Keeping them here — rather than ad-hoc
 //! `format!` strings in each caller — is what makes
 //! `ldiv anonymize --format json` and `POST /anonymize` byte-identical
 //! for the same run.
@@ -20,8 +19,7 @@
 use ldiv_api::{LdivError, MechanismRegistry, Params, Publication};
 use ldiv_metrics::PublicationSummary;
 use ldiv_microdata::Table;
-
-pub use ldiv_wire::Json;
+use ldiv_wire::Json;
 
 /// The hex form used for dataset fingerprints on the wire
 /// (`"a1b2c3d4e5f60718"`). A string, because JSON numbers cannot carry a

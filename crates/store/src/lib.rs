@@ -49,7 +49,7 @@ pub use plan::stable_shard_plan;
 
 use ldiv_api::{LdivError, Mechanism, Params, Publication};
 use ldiv_exec::Executor;
-use ldiv_microdata::{read_csv_with, Fnv1a, RowId, Schema, Table, TableBuilder};
+use ldiv_microdata::{read_csv_with, split_csv_line, Fnv1a, RowId, Schema, Table, TableBuilder};
 use record::ShardRecord;
 use std::fmt;
 use std::fs;
@@ -828,7 +828,7 @@ fn check_header(csv: &[u8], schema: &Schema) -> Result<(), StoreError> {
     let text = std::str::from_utf8(csv)
         .map_err(|_| StoreError::Ldiv(LdivError::Io("append batch is not UTF-8".into())))?;
     let header = text.lines().next().unwrap_or("");
-    let cells = split_header(header);
+    let cells = split_csv_line(header);
     let mut expected: Vec<String> = schema
         .qi_attributes()
         .iter()
@@ -844,30 +844,6 @@ fn check_header(csv: &[u8], schema: &Schema) -> Result<(), StoreError> {
         .into());
     }
     Ok(())
-}
-
-/// Minimal CSV header split (double-quote aware), mirroring the reader's
-/// cell splitting for the one line the store inspects itself.
-fn split_header(line: &str) -> Vec<String> {
-    let mut cells = Vec::new();
-    let mut cur = String::new();
-    let mut quoted = false;
-    let mut chars = line.chars().peekable();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' if quoted && chars.peek() == Some(&'"') => {
-                cur.push('"');
-                chars.next();
-            }
-            '"' => quoted = !quoted,
-            ',' if !quoted => {
-                cells.push(std::mem::take(&mut cur).trim().to_string());
-            }
-            _ => cur.push(c),
-        }
-    }
-    cells.push(cur.trim().to_string());
-    cells
 }
 
 /// Writes bytes to a unique temp file in the target's directory, then
@@ -997,6 +973,22 @@ mod tests {
         // Failed appends never commit a segment.
         assert_eq!(store.dataset(fp).unwrap().segments.len(), 1);
         assert_eq!(store.stats().appends, 0);
+    }
+
+    #[test]
+    fn append_header_check_splits_like_the_reader() {
+        let root = TempRoot::new("append-quoted");
+        let store = DatasetStore::open(&root.0).unwrap();
+        let exec = Executor::sequential();
+        let seed = b"\"Age, band\",Gender,Disease\n< 30,M,flu\n30-40,F,cold\n< 30,F,cold\n";
+        let fp = store.register(seed, &exec).unwrap().fingerprint;
+        // The quoted cell is one column name, comma and all.
+        let batch = b"\"Age, band\",Gender,Disease\n30-40,M,flu\n";
+        assert_eq!(store.append(fp, batch, &exec).unwrap().total_rows, 4);
+        // Unquoted, the same text is four columns: not the dataset's.
+        let unquoted = b"Age, band,Gender,Disease\n30-40,M,flu\n";
+        assert!(store.append(fp, unquoted, &exec).is_err());
+        assert_eq!(store.dataset(fp).unwrap().segments.len(), 2);
     }
 
     #[test]

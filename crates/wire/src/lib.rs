@@ -49,21 +49,3 @@ pub use block::{
     MAX_WIRE_DEPTH, VERSION,
 };
 pub use json::Json;
-
-use std::sync::OnceLock;
-
-/// Whether the ambient `LDIV_WIRE=bin` differential drive is on.
-///
-/// When set, the server re-renders every JSON response body through
-/// `decode(encode(x))` (and the CLI does the same for `--format json`
-/// lines) before writing it — the bytes are identical by the round-trip
-/// identity, so the whole integration suite runs through the binary
-/// codec while every byte-identity and golden gate still holds. Read
-/// once and pinned, like `LDIV_THREADS`/`LDIV_SHARDS`, so a mid-flight
-/// environment change cannot split behaviour within a process.
-pub fn env_wire_bin() -> bool {
-    static PINNED: OnceLock<bool> = OnceLock::new();
-    *PINNED.get_or_init(|| {
-        std::env::var("LDIV_WIRE").is_ok_and(|v| v.trim().eq_ignore_ascii_case("bin"))
-    })
-}

@@ -16,84 +16,18 @@
 //! * `/sweep` reports a faulted mechanism as a per-mechanism error
 //!   entry inside a `200`, never by dropping the whole sweep.
 //!
-//! The fault plan is process-global, so every test serializes on one
-//! mutex and disarms before releasing it.
+//! The fault plan is process-global: an armed `panic:*` faults every
+//! server in the process, not just the test's own. So every test holds
+//! one mutex for its whole body, the healthy windows before and after
+//! its fault included, and disarms before releasing it.
 
-use ldiversity::datagen::{sal, AcsConfig};
-use ldiversity::guard::fault::{install, FaultPlan};
+mod common;
+
+use common::{dataset_csv, http, json_u64, registered_fingerprint, request, serial, with_faults};
 use ldiversity::obs::registry::validate_prometheus;
-use ldiversity::server::{handle_request, AppState, Request, Server, ServerConfig};
+use ldiversity::server::{handle_request, AppState, Server, ServerConfig};
 use ldiversity::standard_registry;
-use std::io::{Read as _, Write as _};
-use std::net::TcpStream;
-use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-
-/// Serializes the suite: the fault plan is a process-wide singleton.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-/// Arms `plan` for the duration of `body`, disarming afterwards even if
-/// the body panics, all under the suite lock.
-fn with_faults(plan: Option<FaultPlan>, body: impl FnOnce()) {
-    let _guard: MutexGuard<'_, ()> = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-    install(plan);
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
-    install(None);
-    if let Err(payload) = outcome {
-        std::panic::resume_unwind(payload);
-    }
-}
-
-fn plan(spec: &str) -> Option<FaultPlan> {
-    Some(FaultPlan::parse(spec).expect(spec))
-}
-
-fn dataset_csv(rows: usize, seed: u64) -> Vec<u8> {
-    let table = sal(&AcsConfig { rows, seed });
-    let mut csv = Vec::new();
-    ldiversity::microdata::write_table_csv(&mut csv, &table).unwrap();
-    csv
-}
-
-/// One HTTP exchange over a real socket; panics on any transport
-/// failure, so "no dropped connections" is asserted by construction.
-fn http(addr: std::net::SocketAddr, method: &str, target: &str, body: &[u8]) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write!(
-        stream,
-        "{method} {target} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
-        body.len()
-    )
-    .unwrap();
-    stream.write_all(body).unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    let status: u16 = response
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
-/// Extracts the integer following `"key":` in a rendered JSON document.
-fn json_u64(body: &str, key: &str) -> u64 {
-    let needle = format!("\"{key}\":");
-    let at = body
-        .find(&needle)
-        .unwrap_or_else(|| panic!("no {needle} in {body}"))
-        + needle.len();
-    body[at..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|_| panic!("non-numeric {needle} in {body}"))
-}
 
 /// The headline chaos scenario: a concurrent burst against a server
 /// whose every mechanism panics. Every connection must come back with a
@@ -102,6 +36,7 @@ fn json_u64(body: &str, key: &str) -> u64 {
 /// the worker pool at full strength with the panics accounted.
 #[test]
 fn panicking_mechanisms_degrade_to_500s_and_the_pool_survives() {
+    let lock = serial();
     let csv = dataset_csv(400, 71);
     let server = Server::bind(
         "127.0.0.1:0",
@@ -124,7 +59,7 @@ fn panicking_mechanisms_degrade_to_500s_and_the_pool_survives() {
     assert_eq!(status, 200);
     assert!(cached_before.contains("\"cached\":true"), "{cached_before}");
 
-    with_faults(plan("panic:*"), || {
+    with_faults(&lock, "panic:*", || {
         // A concurrent burst: cached (tp) and uncached mechanisms mixed.
         let targets = [
             "/anonymize?algo=tp&l=3", // cached → 200 even under faults
@@ -204,8 +139,9 @@ fn panicking_mechanisms_degrade_to_500s_and_the_pool_survives() {
 /// cooperatively, not hung until some outer timeout.
 #[test]
 fn deadline_surfaces_as_504_within_twice_the_budget() {
+    let lock = serial();
     let csv = dataset_csv(300, 72);
-    with_faults(plan("slow:5000"), || {
+    with_faults(&lock, "slow:5000", || {
         let server = Server::bind(
             "127.0.0.1:0",
             standard_registry(),
@@ -246,8 +182,9 @@ fn deadline_surfaces_as_504_within_twice_the_budget() {
 /// the server drains cleanly once the stall is lifted.
 #[test]
 fn a_stalled_queue_sheds_load_with_503s() {
+    let lock = serial();
     let csv = dataset_csv(300, 73);
-    with_faults(plan("queue_stall"), || {
+    with_faults(&lock, "queue_stall", || {
         let server = Server::bind(
             "127.0.0.1:0",
             standard_registry(),
@@ -286,6 +223,7 @@ fn a_stalled_queue_sheds_load_with_503s() {
 /// still counts into the anonymize route's latency histogram.
 #[test]
 fn metrics_scrapes_stay_well_formed_during_a_panic_burst() {
+    let lock = serial();
     let csv = dataset_csv(300, 76);
     let server = Server::bind(
         "127.0.0.1:0",
@@ -300,7 +238,7 @@ fn metrics_scrapes_stay_well_formed_during_a_panic_burst() {
     .unwrap();
     let addr = server.addr();
 
-    with_faults(plan("panic:*"), || {
+    with_faults(&lock, "panic:*", || {
         // Faulted anonymize requests racing scrapes on sibling threads.
         let scrapes: Vec<String> = std::thread::scope(|scope| {
             let faulted: Vec<_> = (0..6)
@@ -360,19 +298,11 @@ fn metrics_scrapes_stay_well_formed_during_a_panic_burst() {
 /// reports a full summary.
 #[test]
 fn sweep_reports_a_faulted_mechanism_as_an_error_entry() {
+    let lock = serial();
     let csv = dataset_csv(400, 74);
-    with_faults(plan("panic:mondrian"), || {
+    with_faults(&lock, "panic:mondrian", || {
         let state = AppState::new(standard_registry(), ServerConfig::default());
-        let response = handle_request(
-            &state,
-            &Request {
-                method: "POST".into(),
-                path: "/sweep".into(),
-                query: vec![("l".into(), "3".into())],
-                headers: Vec::new(),
-                body: csv.clone(),
-            },
-        );
+        let response = handle_request(&state, &request("POST", "/sweep", &[("l", "3")], &csv));
         assert_eq!(response.status, 200, "{}", response.body);
         assert!(
             response.body.contains("\"kind\":\"internal\""),
@@ -404,6 +334,7 @@ fn sweep_reports_a_faulted_mechanism_as_an_error_entry() {
 /// happened.
 #[test]
 fn store_survives_a_panic_burst_across_the_append_publish_window() {
+    let lock = serial();
     let root = std::env::temp_dir().join(format!("ldiv-chaos-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let csv = dataset_csv(400, 75);
@@ -432,12 +363,7 @@ fn store_survives_a_panic_burst_across_the_append_publish_window() {
     // Healthy window: register, one append, one publish.
     let (status, registered) = http(addr, "POST", "/datasets", &csv);
     assert_eq!(status, 200, "{registered}");
-    let fp = registered
-        .split("\"dataset\":\"")
-        .nth(1)
-        .and_then(|rest| rest.split('"').next())
-        .expect("register returns the fingerprint")
-        .to_string();
+    let fp = registered_fingerprint(&registered);
     let (status, appended) = http(addr, "POST", &format!("/datasets/{fp}/append"), &batch);
     assert_eq!(status, 200, "{appended}");
     let publish_target = format!("/datasets/{fp}/publish?algo=tp&l=3&shards=2");
@@ -468,7 +394,7 @@ fn store_survives_a_panic_burst_across_the_append_publish_window() {
     let files_before = listing(&dataset_dir);
     let manifest_before = std::fs::read(dataset_dir.join("manifest.txt")).unwrap();
 
-    with_faults(plan("panic:*"), || {
+    with_faults(&lock, "panic:*", || {
         // The burst: appends and publishes interleaved, all faulted.
         for _ in 0..3 {
             let (status, body) = http(addr, "POST", &format!("/datasets/{fp}/append"), &batch);

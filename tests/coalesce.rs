@@ -21,97 +21,20 @@
 //! * the committed `BENCH_serve.json` baseline (schema 4) records the
 //!   storm with one run and a p99 that stays near the cached path.
 //!
-//! Storm windows are held open with the `slow:<ms>` fault directive
-//! (the plan is process-global, so fault-using tests serialize on one
-//! mutex, as in `tests/chaos.rs`).
+//! Storm windows are held open with the `slow:<ms>` fault directive.
+//! The plan is process-global, so every test that boots a server holds
+//! one mutex for its whole body, as in `tests/chaos.rs`.
 
-use ldiversity::datagen::{sal, AcsConfig};
-use ldiversity::guard::fault::{install, FaultPlan};
+mod common;
+
+use common::{
+    dataset_csv, http, http_bytes, json_u64, registered_fingerprint, serial, with_faults,
+};
 use ldiversity::obs::registry::validate_prometheus;
 use ldiversity::server::{Server, ServerConfig};
 use ldiversity::standard_registry;
 use ldiversity::wire::{decode, Json};
-use std::io::{Read as _, Write as _};
-use std::net::TcpStream;
-use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-
-/// Serializes the fault-using tests: the fault plan is process-wide.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-/// Arms `plan` for the duration of `body`, disarming afterwards even if
-/// the body panics, all under the suite lock.
-fn with_faults(plan: Option<FaultPlan>, body: impl FnOnce()) {
-    let _guard: MutexGuard<'_, ()> = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-    install(plan);
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
-    install(None);
-    if let Err(payload) = outcome {
-        std::panic::resume_unwind(payload);
-    }
-}
-
-fn plan(spec: &str) -> Option<FaultPlan> {
-    Some(FaultPlan::parse(spec).expect(spec))
-}
-
-fn dataset_csv(rows: usize, seed: u64) -> Vec<u8> {
-    let table = sal(&AcsConfig { rows, seed });
-    let mut csv = Vec::new();
-    ldiversity::microdata::write_table_csv(&mut csv, &table).unwrap();
-    csv
-}
-
-/// One HTTP exchange returning the raw body bytes (binary-safe).
-fn http_bytes(
-    addr: std::net::SocketAddr,
-    method: &str,
-    target: &str,
-    body: &[u8],
-) -> (u16, Vec<u8>) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write!(
-        stream,
-        "{method} {target} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
-        body.len()
-    )
-    .unwrap();
-    stream.write_all(body).unwrap();
-    let mut response = Vec::new();
-    stream.read_to_end(&mut response).unwrap();
-    let header_end = response
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .unwrap_or_else(|| panic!("no header terminator in {response:?}"));
-    let head = std::str::from_utf8(&response[..header_end]).unwrap();
-    let status: u16 = head
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    (status, response[header_end + 4..].to_vec())
-}
-
-/// One HTTP exchange with a UTF-8 body (the JSON face).
-fn http(addr: std::net::SocketAddr, method: &str, target: &str, body: &[u8]) -> (u16, String) {
-    let (status, bytes) = http_bytes(addr, method, target, body);
-    (status, String::from_utf8(bytes).unwrap())
-}
-
-/// Extracts the integer following `"key":` in a rendered JSON document.
-fn json_u64(body: &str, key: &str) -> u64 {
-    let needle = format!("\"{key}\":");
-    let at = body
-        .find(&needle)
-        .unwrap_or_else(|| panic!("no {needle} in {body}"))
-        + needle.len();
-    body[at..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|_| panic!("non-numeric {needle} in {body}"))
-}
 
 /// Fires `count` concurrent identical requests and returns
 /// `(status, body)` per client, in spawn order.
@@ -140,6 +63,7 @@ fn server(config: ServerConfig) -> Server {
 /// gauges return to zero, and every client receives the same summary.
 #[test]
 fn an_identical_storm_anonymizes_exactly_once() {
+    let lock = serial();
     let csv = dataset_csv(500, 91);
     let clients = 8;
     let srv = server(ServerConfig {
@@ -152,7 +76,7 @@ fn an_identical_storm_anonymizes_exactly_once() {
 
     // Hold the leader's run open for 600ms so every duplicate arrives
     // while the computation is still in flight.
-    with_faults(plan("slow:600"), || {
+    with_faults(&lock, "slow:600", || {
         let results = storm(addr, clients, "/anonymize?algo=tp&l=3", &csv);
         let mut bodies: Vec<String> = results
             .iter()
@@ -214,6 +138,7 @@ fn an_identical_storm_anonymizes_exactly_once() {
 /// clears recomputes from scratch.
 #[test]
 fn a_leader_panic_reaches_every_follower_as_a_500() {
+    let lock = serial();
     let csv = dataset_csv(400, 92);
     let clients = 6;
     let srv = server(ServerConfig {
@@ -226,7 +151,7 @@ fn a_leader_panic_reaches_every_follower_as_a_500() {
 
     // 400ms of injected slowness opens the join window, then the leader
     // panics at the mechanism entry.
-    with_faults(plan("slow:400,panic:tp"), || {
+    with_faults(&lock, "slow:400,panic:tp", || {
         let results = storm(addr, clients, "/anonymize?algo=tp&l=3", &csv);
         for (status, body) in &results {
             assert_eq!(*status, 500, "{body}");
@@ -266,9 +191,10 @@ fn a_leader_panic_reaches_every_follower_as_a_500() {
 /// classified as what it is — not counted as a caught panic.
 #[test]
 fn deadlines_cross_the_wait_path_as_504s() {
+    let lock = serial();
     let csv = dataset_csv(300, 93);
     let clients = 4;
-    with_faults(plan("slow:5000"), || {
+    with_faults(&lock, "slow:5000", || {
         let srv = server(ServerConfig {
             workers: clients,
             queue_depth: 32,
@@ -305,6 +231,7 @@ fn deadlines_cross_the_wait_path_as_504s() {
 /// cached face of the same summary.
 #[test]
 fn storm_bodies_are_byte_identical_under_binary_negotiation() {
+    let lock = serial();
     let csv = dataset_csv(400, 94);
     let clients = 5;
     let srv = server(ServerConfig {
@@ -316,7 +243,7 @@ fn storm_bodies_are_byte_identical_under_binary_negotiation() {
     let addr = srv.addr();
     let target = "/anonymize?algo=tp&l=3&format=bin";
 
-    let blocks: Vec<Vec<u8>> = with_faults_collect(plan("slow:400"), || {
+    let blocks: Vec<Vec<u8>> = with_faults(&lock, "slow:400", || {
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..clients)
                 .map(|_| {
@@ -367,18 +294,12 @@ fn storm_bodies_are_byte_identical_under_binary_negotiation() {
     srv.shutdown();
 }
 
-/// Like [`with_faults`] but returns the body's value.
-fn with_faults_collect<T>(plan: Option<FaultPlan>, body: impl FnOnce() -> T) -> T {
-    let mut slot = None;
-    with_faults(plan, || slot = Some(body()));
-    slot.unwrap()
-}
-
 /// `/datasets/{fp}/publish` coalesces on the store's lineage
 /// fingerprint: an identical publish storm runs the publication once
 /// (one store publish, one anonymization), and the ledger balances.
 #[test]
 fn publish_storms_coalesce_on_the_store_lineage() {
+    let lock = serial();
     let root = std::env::temp_dir().join(format!("ldiv-coalesce-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let csv = dataset_csv(400, 95);
@@ -394,15 +315,10 @@ fn publish_storms_coalesce_on_the_store_lineage() {
 
     let (status, registered) = http(addr, "POST", "/datasets", &csv);
     assert_eq!(status, 200, "{registered}");
-    let fp = registered
-        .split("\"dataset\":\"")
-        .nth(1)
-        .and_then(|rest| rest.split('"').next())
-        .expect("register returns the fingerprint")
-        .to_string();
+    let fp = registered_fingerprint(&registered);
     let target = format!("/datasets/{fp}/publish?algo=tp&l=3");
 
-    with_faults(plan("slow:500"), || {
+    with_faults(&lock, "slow:500", || {
         let results = storm(addr, clients, &target, b"");
         let mut bodies: Vec<String> = results
             .iter()

@@ -27,43 +27,17 @@
 //! pins the wire face of one incremental sharded run; regenerate with
 //! `LDIV_UPDATE_GOLDEN=1 cargo test --test incremental_equivalence`.
 
+mod common;
+
+use common::{csv_of, TempRoot};
 use ldiversity::datagen::{sal, AcsConfig};
 use ldiversity::metrics::kl_divergence_with;
-use ldiversity::microdata::{read_csv_with, samples, write_table_csv, Table};
+use ldiversity::microdata::{read_csv_with, samples, Table};
 use ldiversity::server::wire;
 use ldiversity::store::DatasetStore;
 use ldiversity::{standard_registry, Executor, Params};
 use std::io::BufReader;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, Ordering};
-
-/// A unique, self-cleaning store root under the system temp dir.
-struct TempRoot(PathBuf);
-
-impl TempRoot {
-    fn new(tag: &str) -> TempRoot {
-        static SEQ: AtomicU32 = AtomicU32::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "ldiv-incr-{tag}-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        TempRoot(dir)
-    }
-}
-
-impl Drop for TempRoot {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-fn csv_of(table: &Table) -> Vec<u8> {
-    let mut csv = Vec::new();
-    write_table_csv(&mut csv, table).expect("render CSV");
-    csv
-}
 
 fn parse_csv(csv: &[u8], exec: &Executor) -> Table {
     read_csv_with(BufReader::new(csv), None, exec).expect("parse CSV")

@@ -3,56 +3,20 @@
 //! parallel-sweep determinism, and the end-to-end socket contract
 //! (anonymize → cache hit verified via `/stats`).
 
+mod common;
+
+use common::{csv_of, http, request};
 use ldiversity::datagen::{sal, AcsConfig};
-use ldiversity::microdata::{write_table_csv, Table};
+use ldiversity::microdata::Table;
 use ldiversity::server::wire;
-use ldiversity::server::{handle_request, AppState, Request, Server, ServerConfig};
+use ldiversity::server::{handle_request, AppState, Server, ServerConfig};
 use ldiversity::{standard_registry, Params};
-use std::io::{Read as _, Write as _};
-use std::net::TcpStream;
 use std::sync::Arc;
 
 fn dataset(rows: usize, seed: u64) -> (Table, Vec<u8>) {
     let table = sal(&AcsConfig { rows, seed });
-    let mut csv = Vec::new();
-    write_table_csv(&mut csv, &table).unwrap();
+    let csv = csv_of(&table);
     (table, csv)
-}
-
-fn post(path: &str, query: &[(&str, &str)], body: &[u8]) -> Request {
-    Request {
-        method: "POST".into(),
-        path: path.into(),
-        query: query
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect(),
-        headers: Vec::new(),
-        body: body.to_vec(),
-    }
-}
-
-fn http(addr: std::net::SocketAddr, method: &str, target: &str, body: &[u8]) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write!(
-        stream,
-        "{method} {target} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
-        body.len()
-    )
-    .unwrap();
-    stream.write_all(body).unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    let status: u16 = response
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
 }
 
 /// `Mechanism: Send + Sync` in practice: one registry, many threads, all
@@ -131,7 +95,7 @@ fn parallel_sweep_matches_sequential_runs() {
     let (_, csv) = dataset(900, 21);
 
     let state = AppState::new(standard_registry(), ServerConfig::default());
-    let sweep = handle_request(&state, &post("/sweep", &[("l", "3")], &csv));
+    let sweep = handle_request(&state, &request("POST", "/sweep", &[("l", "3")], &csv));
     assert_eq!(sweep.status, 200, "{}", sweep.body);
 
     // Sequential reference: the same wire rendering, one mechanism at a
@@ -161,7 +125,7 @@ fn parallel_sweep_matches_sequential_runs() {
 
     // A second sweep is answered entirely from the cache and agrees.
     let before = state.cache_stats();
-    let again = handle_request(&state, &post("/sweep", &[("l", "3")], &csv));
+    let again = handle_request(&state, &request("POST", "/sweep", &[("l", "3")], &csv));
     let after = state.cache_stats();
     assert_eq!(after.hits - before.hits, registry.len() as u64);
     assert_eq!(

@@ -8,59 +8,22 @@
 //! * armed tracing adds the `X-Ldiv-Trace-Id` response header but never
 //!   changes a response body — byte-identity armed vs disarmed;
 //! * the `/metrics` scrape obeys the strict Prometheus line grammar and
-//!   carries the per-route / per-mechanism latency histograms.
+//!   carries the per-route / per-mechanism latency histograms;
+//! * `/stats` and `/metrics` cannot drift: every integer leaf of `/stats`
+//!   is exactly one non-histogram `/metrics` series with the same value,
+//!   and a fresh store-backed server renders a pinned `/stats` document.
 //!
 //! The armed flag is process-global, so every test that touches it
 //! serializes on one mutex and restores the disarmed default.
 
-use ldiversity::datagen::{sal, AcsConfig};
+mod common;
+
+use common::{dataset_csv, json_u64, registered_fingerprint, request, serial, TempRoot};
 use ldiversity::obs;
 use ldiversity::obs::registry::validate_prometheus;
-use ldiversity::server::{handle_request, AppState, Request, ServerConfig};
+use ldiversity::server::{handle_request, AppState, Server, ServerConfig};
 use ldiversity::standard_registry;
-use std::sync::{Mutex, MutexGuard};
-
-/// Serializes the suite: `obs::set_armed` toggles a process-wide flag.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-fn dataset_csv(rows: usize, seed: u64) -> Vec<u8> {
-    let table = sal(&AcsConfig { rows, seed });
-    let mut csv = Vec::new();
-    ldiversity::microdata::write_table_csv(&mut csv, &table).unwrap();
-    csv
-}
-
-fn request(method: &str, path: &str, query: &[(&str, &str)], body: &[u8]) -> Request {
-    Request {
-        method: method.into(),
-        path: path.into(),
-        query: query
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect(),
-        headers: Vec::new(),
-        body: body.to_vec(),
-    }
-}
-
-/// Extracts the integer following `"key":` in a rendered JSON document.
-fn json_u64(body: &str, key: &str) -> u64 {
-    let needle = format!("\"{key}\":");
-    let at = body
-        .find(&needle)
-        .unwrap_or_else(|| panic!("no {needle} in {body}"))
-        + needle.len();
-    body[at..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|_| panic!("non-numeric {needle} in {body}"))
-}
+use ldiversity::wire::Json;
 
 fn header<'a>(response: &'a ldiversity::server::Response, name: &str) -> Option<&'a str> {
     response
@@ -195,4 +158,129 @@ fn metrics_scrape_obeys_the_prometheus_line_grammar() {
     ] {
         assert!(scrape.body.contains(series), "no `{series}` in scrape");
     }
+}
+
+/// A real server with every `/stats` group present (a worker pool and a
+/// store) and every environment-resolved knob pinned. Requests go
+/// straight to its router, exactly as the socket path calls it.
+fn store_server(root: &TempRoot) -> Server {
+    let config = ServerConfig {
+        workers: 2,
+        queue_depth: 8,
+        cache_capacity: 16,
+        threads: 1,
+        shards: 1,
+        deadline_ms: 60_000,
+        store_root: Some(root.0.clone()),
+        ..ServerConfig::default()
+    };
+    Server::bind("127.0.0.1:0", standard_registry(), config).unwrap()
+}
+
+/// `/stats` of a fresh store-backed server, byte for byte: field names,
+/// nesting and order are a client contract (dashboards and the
+/// benchmark read dotted paths such as `cache.hits`).
+#[test]
+fn a_fresh_store_backed_server_renders_the_pinned_stats_document() {
+    let _guard = serial();
+    let root = TempRoot::new("obs-fresh");
+    let server = store_server(&root);
+    let stats = handle_request(server.state(), &request("GET", "/stats", &[], b""));
+    assert_eq!(
+        stats.body,
+        concat!(
+            r#"{"requests":1,"anonymize_runs":0,"rejected":0,"panics_caught":0,"coalesced":0,"#,
+            r#""workers":2,"queue_depth":8,"run_threads":1,"run_shards":1,"deadline_ms":60000,"#,
+            r#""pool":{"alive":2,"target":2,"worker_panics":0,"respawned":0},"#,
+            r#""store":{"datasets":0,"segments":0,"rows":0,"shard_records":0,"#,
+            r#""persisted_responses":0,"registers":0,"appends":0,"appended_rows":0,"#,
+            r#""publishes":0,"shards_computed":0,"shards_reused":0},"#,
+            r#""coalesce":{"in_flight":0,"waiting":0},"#,
+            r#""cache":{"hits":0,"misses":0,"entries":0,"capacity":16,"evictions":0}}"#,
+        )
+    );
+    server.shutdown();
+}
+
+/// The promise the registry makes: `/stats` and `/metrics` report one
+/// list. After traffic that moves every group, each integer leaf of
+/// `/stats` (`cache.hits`) is exactly one unlabelled `/metrics` series
+/// named after its path (`ldiv_cache_hits_total`; `_total` marks a
+/// counter), with the same value, and no series is left over.
+#[test]
+fn stats_and_metrics_report_the_same_values() {
+    let _guard = serial();
+    let root = TempRoot::new("obs-drift");
+    let server = store_server(&root);
+    let send = |method: &str, path: &str, query: &[(&str, &str)], body: &[u8]| {
+        let response = handle_request(server.state(), &request(method, path, query, body));
+        assert!(response.status < 500, "{path}: {}", response.body);
+        response.body
+    };
+    let csv = dataset_csv(300, 44);
+    let tp = [("algo", "tp"), ("l", "3")];
+    send("POST", "/anonymize", &tp, &csv);
+    send("POST", "/anonymize", &tp, &csv);
+    send("POST", "/sweep", &[("l", "3")], &csv);
+    let fp = registered_fingerprint(&send("POST", "/datasets", &[], &csv));
+    let text = String::from_utf8(csv.clone()).unwrap();
+    let batch = text.lines().take(4).collect::<Vec<_>>().join("\n");
+    send(
+        "POST",
+        &format!("/datasets/{fp}/append"),
+        &[],
+        batch.as_bytes(),
+    );
+    let publish = format!("/datasets/{fp}/publish");
+    send("POST", &publish, &tp, b"");
+    send("POST", &publish, &tp, b"");
+    send("GET", "/nope", &[], b"");
+    let scrape = send("GET", "/metrics", &[], b"");
+    let stats = send("GET", "/stats", &[], b"");
+    server.shutdown();
+
+    if let Err((line, reason)) = validate_prometheus(&scrape) {
+        panic!("scrape violates the line grammar at line {line}: {reason}");
+    }
+    // Histogram series are the labelled ones.
+    let mut series: Vec<(&str, i64)> = scrape
+        .lines()
+        .filter(|line| !line.starts_with('#') && !line.contains('{'))
+        .map(|line| {
+            let (name, value) = line.split_once(' ').unwrap();
+            (name, value.parse().unwrap_or_else(|_| panic!("{line}")))
+        })
+        .collect();
+    let Some(Json::Obj(fields)) = Json::parse(&stats) else {
+        panic!("/stats is not a JSON object: {stats}");
+    };
+    let leaves = fields.into_iter().flat_map(|(key, value)| match value {
+        Json::Obj(group) => group
+            .into_iter()
+            .map(|(leaf, value)| (format!("{key}.{leaf}"), value))
+            .collect(),
+        value => vec![(key, value)],
+    });
+    for (path, value) in leaves {
+        let Json::Int(value) = value else {
+            panic!("/stats {path} is not an integer: {value}");
+        };
+        let gauge = format!("ldiv_{}", path.replace('.', "_"));
+        let counter = format!("{gauge}_total");
+        let at = series
+            .iter()
+            .position(|(name, _)| *name == gauge || *name == counter)
+            .unwrap_or_else(|| panic!("/stats {path} has no /metrics series"));
+        let (name, reported) = series.swap_remove(at);
+        let kind = if name == counter { "counter" } else { "gauge" };
+        let typed = format!("# TYPE {name} {kind}\n");
+        assert!(scrape.contains(&typed), "{name} is not a {kind}");
+        // The /stats request, routed after the scrape, counted itself.
+        let expected = if path == "requests" { value - 1 } else { value };
+        assert_eq!(reported, expected, "/stats {path} vs /metrics {name}");
+    }
+    assert!(
+        series.is_empty(),
+        "series without a /stats value: {series:?}"
+    );
 }

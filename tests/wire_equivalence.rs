@@ -5,8 +5,9 @@
 //! equivalent to the canonical JSON face. For every response shape the
 //! workspace can emit — publication summaries for every mechanism ×
 //! shard count, incremental store publications, sweep bodies, dataset
-//! statistics, mechanism listings, and every error kind — this suite
-//! asserts the full differential square:
+//! statistics, mechanism listings, every error kind, and the live
+//! response of every JSON route — this suite asserts the full
+//! differential square:
 //!
 //! ```text
 //! value ──render──▶ JSON text ──parse──▶ value   (parse ∘ render = id)
@@ -20,16 +21,17 @@
 //! client negotiating `application/x-ldiv-bin` loses nothing against a
 //! client reading the default JSON.
 
+mod common;
+
+use common::{csv_of, request, TempRoot};
 use ldiversity::datagen::{sal, AcsConfig};
 use ldiversity::metrics::kl_divergence_with;
-use ldiversity::microdata::{read_csv, samples, write_table_csv, Table};
-use ldiversity::server::wire;
+use ldiversity::microdata::{read_csv, samples, Table};
+use ldiversity::server::{handle_request, wire, AppState, ServerConfig};
 use ldiversity::shard::run_sharded;
 use ldiversity::store::DatasetStore;
 use ldiversity::wire::{decode, encode, stats, validate, Json, HEADER_LEN};
 use ldiversity::{standard_registry, Executor, LdivError, Params};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, Ordering};
 
 /// The full differential square for one value: binary round-trip,
 /// JSON round-trip, and cross-face render equality.
@@ -60,34 +62,6 @@ fn assert_round_trip(value: &Json, context: &str) {
 
 fn dataset(rows: usize, seed: u64) -> Table {
     sal(&AcsConfig { rows, seed })
-}
-
-/// A unique, self-cleaning store root under the system temp dir.
-struct TempRoot(PathBuf);
-
-impl TempRoot {
-    fn new(tag: &str) -> TempRoot {
-        static SEQ: AtomicU32 = AtomicU32::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "ldiv-wireq-{tag}-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        TempRoot(dir)
-    }
-}
-
-impl Drop for TempRoot {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-fn csv_of(table: &Table) -> Vec<u8> {
-    let mut csv = Vec::new();
-    write_table_csv(&mut csv, table).expect("render CSV");
-    csv
 }
 
 /// Every registered mechanism, unsharded and through the stitch at
@@ -219,4 +193,74 @@ fn stats_mechanisms_and_sweep_shaped_bodies_round_trip() {
         .field("l", params.l)
         .field("results", Json::Arr(results));
     assert_round_trip(&sweep, "sweep body");
+}
+
+/// Every JSON route, answered by the router itself: each response body —
+/// success and error alike — goes around the square, so no route can
+/// emit a value the binary face would change.
+#[test]
+fn every_json_route_body_round_trips() {
+    let root = TempRoot::new("routes");
+    let state = AppState::new(
+        standard_registry(),
+        ServerConfig {
+            store_root: Some(root.0.clone()),
+            ..ServerConfig::default()
+        },
+    );
+    let csv = csv_of(&dataset(300, 29));
+    let text = String::from_utf8(csv.clone()).unwrap();
+    let batch = format!("{}\n", text.lines().take(4).collect::<Vec<_>>().join("\n"));
+    let check = |status: u16, method: &str, path: &str, query: &[(&str, &str)], body: &[u8]| {
+        let context = format!("{method} {path} {query:?}");
+        let response = handle_request(&state, &request(method, path, query, body));
+        assert_eq!(response.status, status, "{context}: {}", response.body);
+        assert_eq!(response.content_type, "application/json", "{context}");
+        let body = Json::parse(&response.body).unwrap_or_else(|| panic!("{context}: not JSON"));
+        assert_round_trip(&body, &context);
+        body
+    };
+    let tp = [("algo", "tp"), ("l", "3")];
+
+    check(200, "GET", "/healthz", &[], b"");
+    check(200, "GET", "/mechanisms", &[], b"");
+    check(200, "POST", "/anonymize", &tp, &csv);
+    check(200, "POST", "/anonymize", &tp, &csv); // a cache hit
+    check(200, "POST", "/sweep", &[("l", "3")], &csv);
+    let registered = check(200, "POST", "/datasets", &[], &csv);
+    let Some(Json::Str(fp)) = registered.get("dataset") else {
+        panic!("register returns the fingerprint: {registered}");
+    };
+    let dataset = format!("/datasets/{fp}");
+    check(200, "GET", "/datasets", &[], b"");
+    check(200, "GET", &dataset, &[], b"");
+    check(
+        200,
+        "POST",
+        &format!("{dataset}/append"),
+        &[],
+        batch.as_bytes(),
+    );
+    check(200, "POST", &format!("{dataset}/publish"), &tp, b"");
+    check(200, "POST", &format!("{dataset}/publish"), &tp, b""); // a cache hit
+    check(200, "GET", "/stats", &[], b"");
+    check(200, "GET", "/trace", &[], b"");
+
+    check(400, "POST", "/anonymize", &[("algo", "tp")], &csv);
+    check(
+        404,
+        "POST",
+        "/anonymize",
+        &[("algo", "nope"), ("l", "3")],
+        &csv,
+    );
+    check(404, "GET", "/nope", &[], b"");
+    check(405, "GET", "/anonymize", &[], b"");
+    check(
+        422,
+        "POST",
+        "/anonymize",
+        &[("algo", "tp"), ("l", "1000")],
+        &csv,
+    );
 }

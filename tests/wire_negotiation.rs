@@ -16,32 +16,14 @@
 //! * tracing is format-blind: `X-Ldiv-Trace-Id` and the per-route
 //!   histogram labels are identical under `LDIV_TRACE=1`-style arming.
 
-use ldiversity::datagen::{sal, AcsConfig};
-use ldiversity::microdata::{samples, write_table_csv, Table};
+mod common;
+
+use common::{csv_of, dataset_csv, serial, TempRoot};
+use ldiversity::microdata::samples;
 use ldiversity::obs;
 use ldiversity::server::{handle_request, AppState, Request, Response, ServerConfig};
 use ldiversity::standard_registry;
 use ldiversity::wire::{decode, Json, HEADER_LEN, MAGIC};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Mutex, MutexGuard};
-
-/// Serializes the arming test: `obs::set_armed` is process-global.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-fn csv_of(table: &Table) -> Vec<u8> {
-    let mut csv = Vec::new();
-    write_table_csv(&mut csv, table).unwrap();
-    csv
-}
-
-fn dataset_csv(rows: usize, seed: u64) -> Vec<u8> {
-    csv_of(&sal(&AcsConfig { rows, seed }))
-}
 
 fn request(
     method: &str,
@@ -50,45 +32,16 @@ fn request(
     headers: &[(&str, &str)],
     body: &[u8],
 ) -> Request {
-    Request {
-        method: method.into(),
-        path: path.into(),
-        query: query
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect(),
-        headers: headers
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect(),
-        body: body.to_vec(),
-    }
+    let mut request = common::request(method, path, query, body);
+    request.headers = headers
+        .iter()
+        .map(|(k, v)| (k.to_string(), v.to_string()))
+        .collect();
+    request
 }
 
 fn fresh_state() -> AppState {
     AppState::new(standard_registry(), ServerConfig::default())
-}
-
-/// A unique, self-cleaning store root under the system temp dir.
-struct TempRoot(PathBuf);
-
-impl TempRoot {
-    fn new(tag: &str) -> TempRoot {
-        static SEQ: AtomicU32 = AtomicU32::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "ldiv-wireneg-{tag}-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        TempRoot(dir)
-    }
-}
-
-impl Drop for TempRoot {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
 }
 
 fn store_state(root: &std::path::Path) -> AppState {
