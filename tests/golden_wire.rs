@@ -7,10 +7,15 @@
 //! formatting change — silently invalidates every cached publication and
 //! every downstream consumer, so it must fail *loudly* here instead.
 //!
-//! Fixtures live in `tests/golden/` and pin the paper's Table 1
-//! (`samples::hospital`) at l = 2: every registered mechanism unsharded,
-//! plus sharded (`shards = 2`) fixtures for one suppression and one
-//! non-suppression mechanism so the stitch's wire face is pinned too.
+//! Fixtures live in `tests/golden/` and pin two inputs. The paper's
+//! Table 1 (`samples::hospital`) at l = 2: every registered mechanism
+//! unsharded, plus sharded (`shards = 2`) fixtures for one suppression
+//! and one non-suppression mechanism so the stitch's wire face is pinned
+//! too. And a 2 000-row SAL table (`sal2k_*`) at l = 4, every mechanism
+//! unsharded, after a CSV round-trip with an inferred schema: large
+//! enough that the CSV reader's label coding and every KL payload's
+//! index see thousands of distinct support points and hundreds of
+//! groups.
 //! Params are fully explicit (`shards` included) so the fixtures hold
 //! under the CI `LDIV_SHARDS` override pass.
 //!
@@ -25,8 +30,9 @@
 //! git diff tests/golden/   # review every byte you are about to bless
 //! ```
 
+use ldiversity::datagen::{sal, AcsConfig};
 use ldiversity::metrics::kl_divergence_with;
-use ldiversity::microdata::samples;
+use ldiversity::microdata::{read_csv, samples, write_table_csv, Table};
 use ldiversity::server::wire;
 use ldiversity::shard::run_sharded;
 use ldiversity::{standard_registry, Params};
@@ -38,15 +44,25 @@ fn fixture_path(name: &str) -> PathBuf {
         .join(name)
 }
 
-/// The canonical wire bytes of one hospital-table run.
-fn wire_bytes(mechanism: &str, shards: u32) -> String {
-    let table = samples::hospital();
+/// The 2 000-row SAL input, as a client would send it: written with
+/// labelled cells and read back with an inferred schema.
+fn sal2k() -> Table {
+    let generated = sal(&AcsConfig {
+        rows: 2_000,
+        seed: 2_024,
+    });
+    let mut csv = Vec::new();
+    write_table_csv(&mut csv, &generated).unwrap();
+    read_csv(&csv[..], None).unwrap()
+}
+
+/// The canonical wire bytes of one run.
+fn wire_bytes(table: &Table, mechanism: &str, params: &Params) -> String {
     let registry = standard_registry();
-    let params = Params::new(2).with_shards(shards);
-    let publication = run_sharded(&registry, mechanism, &table, &params)
-        .unwrap_or_else(|e| panic!("{mechanism} shards={shards}: {e}"));
-    let kl = kl_divergence_with(&table, &publication, &params.executor());
-    wire::publication_json(&table, &publication, &params, kl).render()
+    let publication = run_sharded(&registry, mechanism, table, params)
+        .unwrap_or_else(|e| panic!("{mechanism} {}: {e}", params.canonical()));
+    let kl = kl_divergence_with(table, &publication, &params.executor());
+    wire::publication_json(table, &publication, params, kl).render()
 }
 
 fn check_golden(fixture: &str, actual: &str) {
@@ -79,7 +95,18 @@ fn check_golden(fixture: &str, actual: &str) {
 fn unsharded_wire_bytes_match_the_committed_fixtures() {
     for name in standard_registry().names() {
         let fixture = format!("{}_l2.json", name.replace('+', "_plus"));
-        check_golden(&fixture, &wire_bytes(name, 1));
+        let params = Params::new(2).with_shards(1);
+        check_golden(&fixture, &wire_bytes(&samples::hospital(), name, &params));
+    }
+}
+
+#[test]
+fn sal2k_wire_bytes_match_the_committed_fixtures() {
+    let table = sal2k();
+    let params = Params::new(4).with_shards(1);
+    for name in standard_registry().names() {
+        let fixture = format!("sal2k_{}_l4.json", name.replace('+', "_plus"));
+        check_golden(&fixture, &wire_bytes(&table, name, &params));
     }
 }
 
@@ -90,7 +117,8 @@ fn sharded_wire_bytes_match_the_committed_fixtures() {
     // the stitch notes, and the rebuilt payload accounting.
     for name in ["tp+", "anatomy"] {
         let fixture = format!("{}_l2_shards2.json", name.replace('+', "_plus"));
-        check_golden(&fixture, &wire_bytes(name, 2));
+        let params = Params::new(2).with_shards(2);
+        check_golden(&fixture, &wire_bytes(&samples::hospital(), name, &params));
     }
 }
 
@@ -149,7 +177,7 @@ fn every_golden_json_fixture_has_a_decoding_binary_twin() {
 fn fixtures_carry_the_fields_consumers_rely_on() {
     // Belt-and-braces: independent of fixture bytes, the shape contract
     // the cache and CLI parse against.
-    let body = wire_bytes("tp", 1);
+    let body = wire_bytes(&samples::hospital(), "tp", &Params::new(2).with_shards(1));
     for field in [
         "\"mechanism\":",
         "\"params\":",
