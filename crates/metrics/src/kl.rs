@@ -2,7 +2,7 @@
 
 use crate::Recoding;
 use ldiv_exec::Executor;
-use ldiv_microdata::{SuppressedTable, Table, Value};
+use ldiv_microdata::{RowId, SuppressedTable, Table, Value};
 use std::collections::HashMap;
 
 /// Support points per reduction chunk. The KL sums are computed as
@@ -13,30 +13,21 @@ use std::collections::HashMap;
 /// entries byte-stable across `--threads` settings.
 pub(crate) const KL_CHUNK: usize = 4_096;
 
-/// Distinct `(QI vector, SA)` support points of the microdata pdf `f`,
-/// with multiplicities. Keys are `[qi..., sa]`, **sorted**: float
-/// summation is order-sensitive in its last ulps, and a `HashMap`'s
-/// iteration order varies per instance, so summing in hash order would
-/// make repeated KL evaluations of the same publication differ — which
-/// breaks byte-identical wire responses and cache-vs-recompute
-/// comparisons. Sorting pins the summation order.
-pub(crate) fn support_points(table: &Table) -> Vec<(Vec<Value>, u32)> {
-    let d = table.dimensionality();
-    let mut map: HashMap<Vec<Value>, u32> = HashMap::with_capacity(table.len());
-    let mut key = vec![0 as Value; d + 1];
-    for (_, qi, sa) in table.rows() {
-        key[..d].copy_from_slice(qi);
-        key[d] = sa;
-        match map.get_mut(&key) {
-            Some(c) => *c += 1,
-            None => {
-                map.insert(key.clone(), 1);
-            }
-        }
-    }
-    let mut points: Vec<(Vec<Value>, u32)> = map.into_iter().collect();
-    points.sort_unstable();
-    points
+/// Distinct `(QI vector, SA)` support points of the microdata pdf `f`:
+/// one representative row per point, with the point's multiplicity,
+/// **sorted** by `(QI vector, SA)`. Float summation is order-sensitive
+/// in its last ulps, so every KL sum visits the points in this one
+/// order; that is what keeps repeated evaluations of the same
+/// publication, wire responses and cache-vs-recompute comparisons
+/// byte-identical. Sorting row ids finds the points without hashing a
+/// key per row.
+pub(crate) fn support_points(table: &Table) -> Vec<(RowId, u32)> {
+    let key = |r: RowId| (table.qi_row(r), table.sa_value(r));
+    let mut rows: Vec<RowId> = (0..table.len() as RowId).collect();
+    rows.sort_unstable_by(|&a, &b| key(a).cmp(&key(b)));
+    rows.chunk_by(|&a, &b| key(a) == key(b))
+        .map(|run| (run[0], run.len() as u32))
+        .collect()
 }
 
 /// `KL(f, f*)` for a suppression-based publication (Eq. 2): a starred
@@ -44,8 +35,10 @@ pub(crate) fn support_points(table: &Table) -> Vec<(Vec<Value>, u32)> {
 /// values stay point masses, every row keeps its own SA value. Uses the
 /// auto thread budget.
 ///
-/// Runs in `O(n + |support| · #patterns)` where a *pattern* is a distinct
-/// star mask among the groups (≤ 2^d, typically ≪).
+/// Runs in `O(n log n + |support| · #patterns)`: a sort of the rows
+/// finds the support, and each support point probes one hash index per
+/// *pattern*, a distinct star mask among the groups (≤ 2^d, typically
+/// ≪).
 pub fn kl_divergence_suppressed(table: &Table, published: &SuppressedTable) -> f64 {
     kl_divergence_suppressed_with(table, published, &Executor::default())
 }
@@ -119,17 +112,18 @@ pub fn kl_divergence_suppressed_with(
     exec.map_chunks(&points, KL_CHUNK, |part| {
         let mut key: Vec<Value> = Vec::with_capacity(d + 1);
         part.iter()
-            .map(|(point, count)| {
-                let f_p = *count as f64 / n;
+            .map(|&(row, count)| {
+                let f_p = count as f64 / n;
+                let (qi, sa) = (table.qi_row(row), table.sa_value(row));
                 let mut fstar = 0.0;
                 for p in patterns {
                     key.clear();
-                    for (&star, &pv) in p.stars.iter().zip(&point[..d]) {
+                    for (&star, &pv) in p.stars.iter().zip(qi) {
                         if !star {
                             key.push(pv);
                         }
                     }
-                    key.push(point[d]);
+                    key.push(sa);
                     if let Some(&m) = p.mass.get(&key) {
                         fstar += m;
                     }
@@ -137,7 +131,7 @@ pub fn kl_divergence_suppressed_with(
                 let fstar_p = fstar / n;
                 debug_assert!(
                     fstar_p > 0.0,
-                    "f* must be positive on the support of f (point {point:?})"
+                    "f* must be positive on the support of f (point {qi:?}, {sa})"
                 );
                 f_p * (f_p / fstar_p).ln()
             })
@@ -152,7 +146,9 @@ pub fn kl_divergence_suppressed_with(
 /// its sub-domain. Uses the auto thread budget.
 ///
 /// Global recoding maps every support point to exactly one generalized
-/// cell, so the computation is a pair of hash passes — `O(n)`.
+/// cell, so the computation is one hash pass over the rows, a sort of
+/// the rows for the support, and one hash probe per support point —
+/// `O(n log n)`.
 pub fn kl_divergence_recoded(table: &Table, recoding: &Recoding) -> f64 {
     kl_divergence_recoded_with(table, recoding, &Executor::default())
 }
@@ -188,13 +184,14 @@ pub fn kl_divergence_recoded_with(table: &Table, recoding: &Recoding, exec: &Exe
     exec.map_chunks(&f_support, KL_CHUNK, |part| {
         let mut cell = vec![0u32; d + 1];
         part.iter()
-            .map(|(point, count)| {
-                let f_p = *count as f64 / n;
-                recoding.apply_into(&point[..d], &mut cell[..d]);
-                cell[d] = point[d] as u32;
+            .map(|&(row, count)| {
+                let f_p = count as f64 / n;
+                let qi = table.qi_row(row);
+                recoding.apply_into(qi, &mut cell[..d]);
+                cell[d] = table.sa_value(row) as u32;
                 let cell_rows = cell_count[&cell] as f64;
                 let width: f64 = (0..d)
-                    .map(|a| recoding.bucket_width(a, point[a]) as f64)
+                    .map(|a| recoding.bucket_width(a, qi[a]) as f64)
                     .product();
                 let fstar_p = cell_rows / (n * width);
                 f_p * (f_p / fstar_p).ln()
@@ -284,25 +281,29 @@ pub fn kl_divergence_coarse_suppressed_with(
     exec.map_chunks(&f_support, KL_CHUNK, |part| {
         let mut key: Vec<Value> = Vec::with_capacity(d + 1);
         part.iter()
-            .map(|(point, count)| {
-                let f_p = *count as f64 / n;
+            .map(|&(row, count)| {
+                let f_p = count as f64 / n;
+                let (qi, sa) = (table.qi_row(row), table.sa_value(row));
                 let mut fstar = 0.0;
                 for p in patterns {
                     key.clear();
                     let mut bucket_spread = 1.0;
                     for (a, &star) in p.stars.iter().enumerate() {
                         if !star {
-                            key.push(recoding.bucket(a, point[a]) as Value);
-                            bucket_spread /= recoding.bucket_width(a, point[a]) as f64;
+                            key.push(recoding.bucket(a, qi[a]) as Value);
+                            bucket_spread /= recoding.bucket_width(a, qi[a]) as f64;
                         }
                     }
-                    key.push(point[d]);
+                    key.push(sa);
                     if let Some(&m) = p.mass.get(&key) {
                         fstar += m * bucket_spread;
                     }
                 }
                 let fstar_p = fstar / n;
-                debug_assert!(fstar_p > 0.0, "f* must cover the support (point {point:?})");
+                debug_assert!(
+                    fstar_p > 0.0,
+                    "f* must cover the support (point {qi:?}, {sa})"
+                );
                 f_p * (f_p / fstar_p).ln()
             })
             .sum::<f64>()

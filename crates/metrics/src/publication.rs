@@ -15,9 +15,9 @@
 
 use crate::kl::{support_points, KL_CHUNK};
 use crate::{kl_divergence_recoded_with, kl_divergence_suppressed_with};
-use ldiv_api::{AnatomyTables, AttrRange, Payload, Publication};
+use ldiv_api::{AnatomyTables, AttrRange, Payload, Publication, SensitiveEntry};
 use ldiv_exec::Executor;
-use ldiv_microdata::{Partition, RowId, Table, Value};
+use ldiv_microdata::{Partition, Table, Value};
 use std::collections::HashMap;
 
 /// `KL(f, f*)` of Eq. (2) for any publication, dispatching on the
@@ -50,8 +50,10 @@ pub fn kl_divergence_with(table: &Table, publication: &Publication, exec: &Execu
 /// row spreads uniformly over its group's box, keeping its own SA value.
 /// Uses the auto thread budget.
 ///
-/// Exact but `O(|support| · #groups)` in the worst case (boxes may
-/// overlap arbitrarily after the §6.2 star-to-box transformation).
+/// Exact. Boxes may overlap arbitrarily after the §6.2 star-to-box
+/// transformation, so each support point tests every group's box that
+/// holds the point's SA value: `O(n log n + |support| · #groups per SA
+/// value)`.
 pub fn kl_divergence_boxes(table: &Table, partition: &Partition, boxes: &[Vec<AttrRange>]) -> f64 {
     kl_divergence_boxes_with(table, partition, boxes, &Executor::default())
 }
@@ -66,43 +68,44 @@ pub fn kl_divergence_boxes_with(
 ) -> f64 {
     assert_eq!(partition.group_count(), boxes.len());
     assert_eq!(partition.covered_rows(), table.len());
-    let d = table.dimensionality();
     let n = table.len() as f64;
     if table.is_empty() {
         return 0.0;
     }
 
-    // Per group and SA value: mass × uniform spread over the box.
-    // Groups are independent; the index builds as an ordered map.
-    struct GroupMass<'a> {
-        ranges: &'a [AttrRange],
-        by_sa: HashMap<Value, f64>,
-    }
-    let pairs: Vec<(&Vec<RowId>, &Vec<AttrRange>)> = partition.groups().iter().zip(boxes).collect();
-    let masses: Vec<GroupMass<'_>> = exec.map(&pairs, |&(rows, ranges)| {
+    // For every SA value, the groups that hold it, in group order, each
+    // with its box and its mass of that value: one uniform spread over
+    // the box per row, added in turn (not `rows · spread`, which can
+    // differ in the last ulp).
+    let m = table.schema().sa_domain_size() as usize;
+    let mut by_sa: Vec<Vec<(&[AttrRange], f64)>> = vec![Vec::new(); m];
+    let mut rows_of = vec![0u32; m];
+    let mut held: Vec<usize> = Vec::new();
+    for (rows, ranges) in partition.groups().iter().zip(boxes) {
         let spread: f64 = ranges.iter().map(|r| 1.0 / r.width() as f64).product();
-        let mut by_sa: HashMap<Value, f64> = HashMap::new();
         for &r in rows {
-            *by_sa.entry(table.sa_value(r)).or_insert(0.0) += spread;
+            let s = table.sa_value(r) as usize;
+            if rows_of[s] == 0 {
+                held.push(s);
+            }
+            rows_of[s] += 1;
         }
-        GroupMass { ranges, by_sa }
-    });
+        for s in held.drain(..) {
+            let mass = (0..rows_of[s]).fold(0.0, |mass, _| mass + spread);
+            by_sa[s].push((ranges, mass));
+            rows_of[s] = 0;
+        }
+    }
 
     let points = support_points(table);
-    let masses = &masses;
-    exec.sum_chunked(&points, KL_CHUNK, |(point, count)| {
-        let f_p = *count as f64 / n;
+    let by_sa = &by_sa;
+    exec.sum_chunked(&points, KL_CHUNK, |&(row, count)| {
+        let f_p = count as f64 / n;
+        let qi = table.qi_row(row);
         let mut fstar = 0.0;
-        for gm in masses {
-            if gm
-                .ranges
-                .iter()
-                .zip(&point[..d])
-                .all(|(r, &v)| r.contains(v))
-            {
-                if let Some(&m) = gm.by_sa.get(&point[d]) {
-                    fstar += m;
-                }
+        for &(ranges, mass) in &by_sa[table.sa_value(row) as usize] {
+            if ranges.iter().zip(qi).all(|(r, &v)| r.contains(v)) {
+                fstar += mass;
             }
         }
         let fstar_p = fstar / n;
@@ -130,32 +133,43 @@ pub fn kl_divergence_anatomy_tables_with(
     tables: &AnatomyTables,
     exec: &Executor,
 ) -> f64 {
-    let d = table.dimensionality();
     let n = table.len() as f64;
     if table.is_empty() {
         return 0.0;
     }
     assert_eq!(tables.group_of.len(), table.len());
 
-    // Per group: SA distribution.
-    let group_sizes: Vec<f64> = partition.groups().iter().map(|g| g.len() as f64).collect();
-    let mut sa_share: HashMap<(u32, Value), f64> = HashMap::new();
-    for e in &tables.entries {
-        sa_share.insert(
-            (e.group, e.value),
-            e.count as f64 / group_sizes[e.group as usize],
-        );
+    // Each group's published SA distribution as one run of `(value,
+    // share)` pairs sorted by value, the runs in group order. Memory
+    // stays linear in the sensitive table, however many groups and SA
+    // values a client's table has.
+    let groups = partition.groups();
+    let mut entries: Vec<&SensitiveEntry> = tables.entries.iter().collect();
+    entries.sort_by_key(|e| (e.group, e.value));
+    let mut starts = vec![0usize; groups.len() + 1];
+    for e in &entries {
+        starts[e.group as usize + 1] += 1;
     }
+    for g in 0..groups.len() {
+        starts[g + 1] += starts[g];
+    }
+    let shares: Vec<(Value, f64)> = entries
+        .iter()
+        .map(|e| {
+            let size = groups[e.group as usize].len() as f64;
+            (e.value, e.count as f64 / size)
+        })
+        .collect();
 
     // f*(q, s) = Σ_{rows r with qi = q} share(group(r), s) / n. Aggregate
-    // rows by (QI vector, group) first.
-    let mut qi_group_count: HashMap<(Vec<Value>, u32), u32> = HashMap::new();
+    // rows by (QI vector, group) first, keyed on the table's own rows.
+    let mut qi_group_count: HashMap<(&[Value], u32), u32> = HashMap::with_capacity(table.len());
     for (row, qi, _) in table.rows() {
         *qi_group_count
-            .entry((qi.to_vec(), tables.group_of[row as usize]))
+            .entry((qi, tables.group_of[row as usize]))
             .or_insert(0) += 1;
     }
-    let mut by_qi: HashMap<Vec<Value>, Vec<(u32, u32)>> = HashMap::new();
+    let mut by_qi: HashMap<&[Value], Vec<(u32, u32)>> = HashMap::new();
     for ((qi, g), c) in qi_group_count {
         by_qi.entry(qi).or_default().push((g, c));
     }
@@ -167,17 +181,15 @@ pub fn kl_divergence_anatomy_tables_with(
 
     let points = support_points(table);
     let by_qi = &by_qi;
-    let sa_share = &sa_share;
-    exec.sum_chunked(&points, KL_CHUNK, |(point, count)| {
-        let f_p = *count as f64 / n;
-        let qi = &point[..d];
-        let s = point[d];
+    let (shares, starts) = (&shares, &starts);
+    exec.sum_chunked(&points, KL_CHUNK, |&(row, count)| {
+        let f_p = count as f64 / n;
+        let s = table.sa_value(row);
         let mut fstar = 0.0;
-        if let Some(entries) = by_qi.get(qi) {
-            for &(g, c) in entries {
-                if let Some(&share) = sa_share.get(&(g, s)) {
-                    fstar += c as f64 * share;
-                }
+        for &(g, c) in &by_qi[table.qi_row(row)] {
+            let run = &shares[starts[g as usize]..starts[g as usize + 1]];
+            if let Ok(i) = run.binary_search_by_key(&s, |&(v, _)| v) {
+                fstar += c as f64 * run[i].1;
             }
         }
         let fstar_p = fstar / n;

@@ -52,12 +52,9 @@ impl Attribute {
             .unwrap_or_else(|| code.to_string())
     }
 
-    /// Looks a label up, returning its code.
-    pub fn code_of(&self, label: &str) -> Option<Value> {
-        self.labels
-            .iter()
-            .position(|l| l == label)
-            .map(|p| p as Value)
+    /// The display labels, one per code; empty when codes are shown raw.
+    pub(crate) fn labels(&self) -> &[String] {
+        &self.labels
     }
 }
 
@@ -178,8 +175,7 @@ mod tests {
         let a = Attribute::with_labels("gender", vec!["M".into(), "F".into()]);
         assert_eq!(a.domain_size(), 2);
         assert_eq!(a.label(1), "F");
-        assert_eq!(a.code_of("M"), Some(0));
-        assert_eq!(a.code_of("X"), None);
+        assert_eq!(a.labels(), ["M", "F"]);
     }
 
     #[test]

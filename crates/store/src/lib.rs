@@ -376,9 +376,10 @@ impl DatasetStore {
     /// Appends a batch of rows (raw CSV with the dataset's header) as a
     /// new immutable segment. The batch is parsed under the dataset's
     /// registered schema: its header must repeat the dataset's column
-    /// names and every cell must be a known label or in-domain code —
-    /// the append contract is "more rows of the same population", not a
-    /// schema migration.
+    /// names and every cell must be one of its column's registered labels
+    /// (registration infers a label for every code, so a raw integer code
+    /// is not accepted) — the append contract is "more rows of the same
+    /// population", not a schema migration.
     pub fn append(
         &self,
         fingerprint: u64,
@@ -445,13 +446,13 @@ impl DatasetStore {
     /// Loads a dataset's current full table (all segments concatenated
     /// in append order) plus its segment history.
     ///
-    /// Bounded-memory: each segment streams straight off disk through
-    /// the chunked `read_csv_with` seam (no whole-file `fs::read`) and
-    /// is folded into one incrementally grown table before the next
-    /// segment is opened — peak residency is the accumulated output
-    /// plus a single segment, never every segment at once. Row ids
-    /// renumber sequentially: segment row `i` of segment `s` becomes
-    /// global row `offset_s + i`.
+    /// Bounded memory: `read_csv_with` reads one segment's bytes into
+    /// memory and parses them, and the segment's rows are folded into
+    /// one incrementally grown table before the next segment is opened.
+    /// Peak residency is the accumulated table plus one segment's bytes
+    /// and their parse, never every segment at once. Row ids renumber
+    /// sequentially: segment row `i` of segment `s` becomes global row
+    /// `offset_s + i`.
     pub fn load_table(
         &self,
         fingerprint: u64,
@@ -973,6 +974,35 @@ mod tests {
         // Failed appends never commit a segment.
         assert_eq!(store.dataset(fp).unwrap().segments.len(), 1);
         assert_eq!(store.stats().appends, 0);
+    }
+
+    #[test]
+    fn append_rejects_a_raw_code_for_a_labelled_column() {
+        let root = TempRoot::new("append-raw-code");
+        let store = DatasetStore::open(&root.0).unwrap();
+        let exec = Executor::sequential();
+        let seed = b"age,zip,disease\n10,1,flu\n20,2,cold\n30,1,hiv\n";
+        let fp = store.register(seed, &exec).unwrap().fingerprint;
+        // "1" is a label of zip, but age's labels are 10, 20 and 30: the
+        // cell must not be read as age's code 1, which is "20".
+        let err = store
+            .append(fp, b"age,zip,disease\n1,1,flu\n", &exec)
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "csv error: cell '1' is not a label of attribute 'age'"
+        );
+        assert_eq!(store.dataset(fp).unwrap().segments.len(), 1);
+        assert_eq!(store.stats().appends, 0);
+        // The label itself appends, and reads back as itself.
+        store
+            .append(fp, b"age,zip,disease\n20,1,flu\n", &exec)
+            .unwrap();
+        let (table, _) = store.load_table(fp, &exec).unwrap();
+        assert_eq!(
+            table.schema().qi_attribute(0).label(table.qi_value(3, 0)),
+            "20"
+        );
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! and one non-suppression mechanism so the stitch's wire face is pinned
 //! too. And a 2 000-row SAL table (`sal2k_*`) at l = 4, every mechanism
 //! unsharded, after a CSV round-trip with an inferred schema: large
-//! enough that the CSV reader's label coding and every KL payload's
-//! index see thousands of distinct support points and hundreds of
-//! groups.
+//! enough that the CSV reader codes many distinct labels per column and
+//! every KL payload indexes about two thousand support points and
+//! hundreds of groups.
 //! Params are fully explicit (`shards` included) so the fixtures hold
 //! under the CI `LDIV_SHARDS` override pass.
 //!
