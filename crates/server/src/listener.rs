@@ -959,6 +959,12 @@ fn samples(state: &AppState) -> Vec<Sample> {
                 "Shards reloaded from persisted results",
                 s.shards_reused,
             ),
+            Sample::new(
+                "store.segments_read",
+                "ldiv_store_segments_read_total",
+                "Segment files parsed by this process",
+                s.segments_read,
+            ),
         ]);
     }
     let (flights, cache) = (&state.flights, state.cache_stats());

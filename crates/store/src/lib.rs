@@ -12,9 +12,15 @@
 //! * **Append-only growth.** New row batches arrive as whole segments
 //!   (the `append`/`process` shape of csv-managed's pipeline): written
 //!   to a temp file, renamed into place, and only then committed by an
-//!   atomic manifest rewrite — a crash mid-append leaves the previous
-//!   manifest and at worst an orphan segment file, never a partial
-//!   segment in the dataset.
+//!   atomic manifest rewrite — a process crash (`kill -9`) mid-append
+//!   leaves the previous manifest and at worst an orphan segment file,
+//!   never a partial segment in the dataset. Nothing is fsynced, so this
+//!   holds for a crash of the process, not for power loss: after a power
+//!   loss or kernel crash a rename can reach the disk before the renamed
+//!   file's contents.
+//! * **Each segment parsed once per process.** The store memoizes each
+//!   dataset's verified table (see [`DatasetStore::load_table`]), so a
+//!   publish after an append parses only the appended segment.
 //! * **Incremental re-publication.** `publish` splits the current table
 //!   with the *append-stable* SA-stratified plan ([`stable_shard_plan`])
 //!   and keys every shard's result by `(mechanism, sub-table
@@ -42,6 +48,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod memo;
 mod plan;
 mod record;
 
@@ -50,13 +57,14 @@ pub use plan::stable_shard_plan;
 use ldiv_api::{LdivError, Mechanism, Params, Publication};
 use ldiv_exec::Executor;
 use ldiv_microdata::{read_csv_with, split_csv_line, Fnv1a, RowId, Schema, Table, TableBuilder};
+use memo::TableMemo;
 use record::ShardRecord;
 use std::fmt;
 use std::fs;
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Errors a store operation can surface.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -252,6 +260,7 @@ struct StoreCounters {
     shards_computed: AtomicU64,
     shards_reused: AtomicU64,
     responses_persisted: AtomicU64,
+    segments_read: AtomicU64,
 }
 
 /// A point-in-time view of the store: on-disk inventory plus operation
@@ -282,6 +291,8 @@ pub struct StoreStats {
     pub shards_reused: u64,
     /// Publication-cache entries persisted (this process).
     pub responses_persisted: u64,
+    /// Segment files parsed (this process).
+    pub segments_read: u64,
 }
 
 const MANIFEST_MAGIC: &str = "ldiv-store manifest v1";
@@ -301,12 +312,24 @@ const RESPONSE_MAGIC: &str = "ldiv-store response v1";
 /// All mutating writes are temp-file-plus-rename, and a dataset's
 /// manifest is rewritten last — the manifest is the commit point, so
 /// readers never observe a partially ingested segment.
+///
+/// A store also holds, per dataset, the last table it loaded, as of the
+/// segment list it was read from (see [`DatasetStore::load_table`]).
+/// Several stores may be open on one root, such as the CLI appending
+/// while a server runs: a manifest only ever grows, so the next load
+/// through any of them parses just the segments added since its own
+/// last load.
 #[derive(Debug)]
 pub struct DatasetStore {
     root: PathBuf,
     counters: StoreCounters,
-    /// Serializes register/append (publish only reads the manifest).
+    /// Serializes this handle's register/append. Publish takes no ingest
+    /// lock: it reads the committed manifest, then the memo (under its
+    /// own lock) and only the segments the memo lacks.
     ingest: Mutex<()>,
+    /// Verified tables by dataset; locked only to look up or store an
+    /// entry, never across I/O or a parse.
+    memo: Mutex<TableMemo>,
 }
 
 impl DatasetStore {
@@ -320,6 +343,7 @@ impl DatasetStore {
             root,
             counters: StoreCounters::default(),
             ingest: Mutex::new(()),
+            memo: Mutex::new(TableMemo::default()),
         })
     }
 
@@ -379,7 +403,11 @@ impl DatasetStore {
     /// names and every cell must be one of its column's registered labels
     /// (registration infers a label for every code, so a raw integer code
     /// is not accepted) — the append contract is "more rows of the same
-    /// population", not a schema migration.
+    /// population", not a schema migration. The schema is that of the
+    /// dataset's loaded table, so an append parses only its batch once
+    /// this process has loaded the dataset (see [`load_table`]).
+    ///
+    /// [`load_table`]: DatasetStore::load_table
     pub fn append(
         &self,
         fingerprint: u64,
@@ -388,8 +416,8 @@ impl DatasetStore {
     ) -> Result<AppendOutcome, StoreError> {
         ldiv_guard::fault::mechanism_entry("store:append", exec);
         let _guard = self.ingest.lock().unwrap_or_else(|p| p.into_inner());
-        let info = self.read_manifest(fingerprint)?;
-        let schema = self.dataset_schema(&info, exec)?;
+        let (table, info) = self.load(fingerprint, exec)?;
+        let schema = table.schema().clone();
         check_header(csv, &schema)?;
         let batch = read_csv_with(BufReader::new(csv), Some(schema), exec)?;
         if batch.is_empty() {
@@ -446,61 +474,73 @@ impl DatasetStore {
     /// Loads a dataset's current full table (all segments concatenated
     /// in append order) plus its segment history.
     ///
-    /// Bounded memory: `read_csv_with` reads one segment's bytes into
-    /// memory and parses them, and the segment's rows are folded into
-    /// one incrementally grown table before the next segment is opened.
-    /// Peak residency is the accumulated table plus one segment's bytes
-    /// and their parse, never every segment at once. Row ids renumber
-    /// sequentially: segment row `i` of segment `s` becomes global row
-    /// `offset_s + i`.
+    /// Memoized: the store keeps, per dataset, the last table this
+    /// process loaded and the segment list it was read from, and parses
+    /// only the segments the manifest lists after that list — every
+    /// segment when the list is not a prefix of the manifest's (a first
+    /// load, or a dataset rebuilt on disk). The memo holds at most 2^24
+    /// table values (rows × columns, 32 MiB) and evicts the least
+    /// recently used dataset first; a failed load leaves it unchanged.
+    /// Each segment is checked against its manifest line (row count and
+    /// fingerprint) when this process first reads it. A segment file
+    /// changed on disk after that is caught by the next process that
+    /// opens the store, not by this one.
+    ///
+    /// Bounded memory: the new segments' rows are folded into one table,
+    /// grown from the memoized one, before the next segment is opened.
+    /// Peak residency is the memoized table, the grown table and one
+    /// segment's bytes and their parse, never every segment at once; the
+    /// caller then gets a copy, and the memo keeps its own. Row ids
+    /// renumber sequentially: segment row `i` of segment `s` becomes
+    /// global row `offset_s + i`.
     pub fn load_table(
         &self,
         fingerprint: u64,
         exec: &Executor,
     ) -> Result<(Table, DatasetInfo), StoreError> {
+        let (table, info) = self.load(fingerprint, exec)?;
+        Ok((Table::clone(&table), info))
+    }
+
+    /// [`DatasetStore::load_table`], sharing the memoized table.
+    fn load(
+        &self,
+        fingerprint: u64,
+        exec: &Executor,
+    ) -> Result<(Arc<Table>, DatasetInfo), StoreError> {
         let info = self.read_manifest(fingerprint)?;
-        let _load =
-            ldiv_obs::span_labeled("store:load", || format!("{} segments", info.segments.len()));
-        let single = info.segments.len() == 1;
-        let mut schema: Option<Schema> = None;
-        let mut builder: Option<TableBuilder> = None;
-        let mut only: Option<Table> = None;
-        for seg in &info.segments {
-            let path = self.segments_dir(fingerprint).join(segment_file(seg.index));
-            let file = fs::File::open(&path).map_err(|e| io_error(&path, &e))?;
-            let table = read_csv_with(BufReader::new(file), schema.clone(), exec)
-                .map_err(|e| StoreError::Corrupt(format!("{}: {e}", path.display())))?;
-            if table.len() != seg.rows || table.fingerprint() != seg.fingerprint {
-                return Err(StoreError::Corrupt(format!(
-                    "{}: segment content disagrees with the manifest",
-                    path.display()
-                )));
+        let hit = self.memo().prefix_of(fingerprint, &info.segments);
+        let n = info.segments.len();
+        let read = n - hit.as_ref().map_or(0, |(done, _)| *done);
+        let _load = ldiv_obs::span_labeled("store:load", || format!("{read} of {n} segments read"));
+        // A miss starts from segment 0, whose parse infers the schema
+        // every later segment is read under (a manifest is never empty).
+        let (done, base) = match hit {
+            Some(hit) => hit,
+            None => {
+                let first = self.read_segment(fingerprint, &info.segments[0], None, exec)?;
+                (1, Arc::new(first))
             }
-            if schema.is_none() {
-                schema = Some(table.schema().clone());
-            }
-            if single {
-                // One segment: its table IS the dataset — no copy.
-                only = Some(table);
-                break;
-            }
-            let builder = builder.get_or_insert_with(|| {
-                TableBuilder::with_capacity(table.schema().clone(), info.rows())
-            });
-            for (_, qi, sa) in table.rows() {
+        };
+        let table = if done == n {
+            base
+        } else {
+            let mut builder = TableBuilder::with_capacity(base.schema().clone(), info.rows());
+            for (_, qi, sa) in base.rows() {
                 builder.push_row_unchecked(qi, sa);
             }
-        }
-        if let Some(table) = only {
-            return Ok((table, info));
-        }
-        let builder = builder.ok_or_else(|| {
-            StoreError::Corrupt(format!(
-                "dataset {} has no segments",
-                fingerprint_hex(fingerprint)
-            ))
-        })?;
-        Ok((builder.build(), info))
+            for seg in &info.segments[done..] {
+                let schema = Some(base.schema().clone());
+                let part = self.read_segment(fingerprint, seg, schema, exec)?;
+                for (_, qi, sa) in part.rows() {
+                    builder.push_row_unchecked(qi, sa);
+                }
+            }
+            Arc::new(builder.build())
+        };
+        self.memo()
+            .insert(fingerprint, info.segments.clone(), Arc::clone(&table));
+        Ok((table, info))
     }
 
     /// Publishes the dataset's current table under `params`, reusing
@@ -664,6 +704,7 @@ impl DatasetStore {
             shards_computed: self.counters.shards_computed.load(Ordering::Relaxed),
             shards_reused: self.counters.shards_reused.load(Ordering::Relaxed),
             responses_persisted: self.counters.responses_persisted.load(Ordering::Relaxed),
+            segments_read: self.counters.segments_read.load(Ordering::Relaxed),
             ..StoreStats::default()
         };
         if let Ok(datasets) = self.datasets() {
@@ -731,12 +772,33 @@ impl DatasetStore {
         let _ = atomic_write(path, record.serialize().as_bytes());
     }
 
-    fn dataset_schema(&self, info: &DatasetInfo, exec: &Executor) -> Result<Schema, StoreError> {
-        let path = self.segments_dir(info.fingerprint).join(segment_file(0));
-        let bytes = fs::read(&path).map_err(|e| io_error(&path, &e))?;
-        let table = read_csv_with(BufReader::new(&bytes[..]), None, exec)
+    fn memo(&self) -> MutexGuard<'_, TableMemo> {
+        // Every memo update leaves each entry a verified (segment list,
+        // table) pair, so a guard poisoned by a panic is still sound.
+        self.memo.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Parses one segment file (under `schema`, or inferring it for
+    /// segment 0) and checks it against its manifest line.
+    fn read_segment(
+        &self,
+        dataset: u64,
+        seg: &SegmentInfo,
+        schema: Option<Schema>,
+        exec: &Executor,
+    ) -> Result<Table, StoreError> {
+        let path = self.segments_dir(dataset).join(segment_file(seg.index));
+        let file = fs::File::open(&path).map_err(|e| io_error(&path, &e))?;
+        self.counters.segments_read.fetch_add(1, Ordering::Relaxed);
+        let table = read_csv_with(BufReader::new(file), schema, exec)
             .map_err(|e| StoreError::Corrupt(format!("{}: {e}", path.display())))?;
-        Ok(table.schema().clone())
+        if table.len() != seg.rows || table.fingerprint() != seg.fingerprint {
+            return Err(StoreError::Corrupt(format!(
+                "{}: segment content disagrees with the manifest",
+                path.display()
+            )));
+        }
+        Ok(table)
     }
 
     fn read_manifest(&self, fp: u64) -> Result<DatasetInfo, StoreError> {
@@ -849,8 +911,11 @@ fn check_header(csv: &[u8], schema: &Schema) -> Result<(), StoreError> {
 
 /// Writes bytes to a unique temp file in the target's directory, then
 /// renames into place — concurrent writers race benignly (last rename
-/// wins, both contents complete) and a crash leaves at worst an orphan
-/// temp file, never a torn target.
+/// wins, both contents complete) and a process crash (`kill -9`) leaves
+/// at worst an orphan temp file, never a torn target. Nothing is
+/// fsynced, so that holds for a crash of the process, not for power
+/// loss: after a power loss or kernel crash the rename can reach the
+/// disk before the contents, leaving the target empty or torn.
 fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
     static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
     let dir = path
@@ -1110,6 +1175,101 @@ mod tests {
             after.stats.computed, 0,
             "persisted shard results must survive a restart"
         );
+    }
+
+    #[test]
+    fn each_segment_is_read_once_across_appends_and_publishes() {
+        let root = TempRoot::new("read-once");
+        let store = DatasetStore::open(&root.0).unwrap();
+        let exec = Executor::sequential();
+        let fp = store.register(&hospital_csv(), &exec).unwrap().fingerprint;
+        let params = Params::new(2).with_shards(2);
+        for i in 0..30 {
+            store.append(fp, &batch_csv(i), &exec).unwrap();
+            store.publish(fp, &ldiv_core::TpMechanism, &params).unwrap();
+        }
+        // The first append reads segment 0; each publish then reads only
+        // the segment its append added.
+        assert_eq!(store.stats().segments_read, 31);
+    }
+
+    /// Registers the hospital table and appends `batches` to a fresh
+    /// store, then publishes it with TP at l = 2 on 2 shards.
+    fn fresh_publish(batches: &[u32]) -> PublishOutcome {
+        let root = TempRoot::new("fresh");
+        let store = DatasetStore::open(&root.0).unwrap();
+        let exec = Executor::sequential();
+        let fp = store.register(&hospital_csv(), &exec).unwrap().fingerprint;
+        for &seed in batches {
+            store.append(fp, &batch_csv(seed), &exec).unwrap();
+        }
+        let params = Params::new(2).with_shards(2);
+        store.publish(fp, &ldiv_core::TpMechanism, &params).unwrap()
+    }
+
+    #[test]
+    fn a_second_handles_append_is_read_by_the_next_publish() {
+        let root = TempRoot::new("two-handles");
+        let (a, b) = (
+            DatasetStore::open(&root.0).unwrap(),
+            DatasetStore::open(&root.0).unwrap(),
+        );
+        let exec = Executor::sequential();
+        let params = Params::new(2).with_shards(2);
+        let mech = ldiv_core::TpMechanism;
+        let fp = a.register(&hospital_csv(), &exec).unwrap().fingerprint;
+        a.publish(fp, &mech, &params).unwrap();
+        let read = a.stats().segments_read;
+        b.append(fp, &batch_csv(4), &exec).unwrap();
+        let grown = a.publish(fp, &mech, &params).unwrap();
+        assert_eq!(a.stats().segments_read, read + 1);
+        let fresh = fresh_publish(&[4]);
+        assert_eq!(grown.table, fresh.table);
+        assert_eq!(grown.publication, fresh.publication);
+    }
+
+    #[test]
+    fn a_dataset_rebuilt_on_disk_is_read_again_in_full() {
+        let root = TempRoot::new("rebuilt");
+        let (a, b) = (
+            DatasetStore::open(&root.0).unwrap(),
+            DatasetStore::open(&root.0).unwrap(),
+        );
+        let exec = Executor::sequential();
+        let fp = a.register(&hospital_csv(), &exec).unwrap().fingerprint;
+        a.append(fp, &batch_csv(0), &exec).unwrap();
+        a.load_table(fp, &exec).unwrap();
+        fs::remove_dir_all(a.dataset_dir(fp)).unwrap();
+        b.register(&hospital_csv(), &exec).unwrap();
+        b.append(fp, &batch_csv(6), &exec).unwrap();
+        let read = a.stats().segments_read;
+        let (table, info) = a.load_table(fp, &exec).unwrap();
+        assert_eq!(a.stats().segments_read, read + 2);
+        assert_eq!(info.segments.len(), 2);
+        assert_eq!(table, fresh_publish(&[6]).table);
+    }
+
+    #[test]
+    fn a_segment_that_disagrees_with_its_manifest_fails_every_load() {
+        let root = TempRoot::new("tampered");
+        let (a, b) = (
+            DatasetStore::open(&root.0).unwrap(),
+            DatasetStore::open(&root.0).unwrap(),
+        );
+        let exec = Executor::sequential();
+        let params = Params::new(2).with_shards(2);
+        let mech = ldiv_core::TpMechanism;
+        let fp = a.register(&hospital_csv(), &exec).unwrap().fingerprint;
+        a.publish(fp, &mech, &params).unwrap();
+        b.append(fp, &batch_csv(0), &exec).unwrap();
+        // Same row count, other rows: only the fingerprint disagrees.
+        fs::write(a.segments_dir(fp).join(segment_file(1)), batch_csv(5)).unwrap();
+        for _ in 0..2 {
+            assert!(matches!(
+                a.publish(fp, &mech, &params),
+                Err(StoreError::Corrupt(_))
+            ));
+        }
     }
 
     #[test]

@@ -194,7 +194,7 @@ fn a_fresh_store_backed_server_renders_the_pinned_stats_document() {
             r#""pool":{"alive":2,"target":2,"worker_panics":0,"respawned":0},"#,
             r#""store":{"datasets":0,"segments":0,"rows":0,"shard_records":0,"#,
             r#""persisted_responses":0,"registers":0,"appends":0,"appended_rows":0,"#,
-            r#""publishes":0,"shards_computed":0,"shards_reused":0},"#,
+            r#""publishes":0,"shards_computed":0,"shards_reused":0,"segments_read":0},"#,
             r#""coalesce":{"in_flight":0,"waiting":0},"#,
             r#""cache":{"hits":0,"misses":0,"entries":0,"capacity":16,"evictions":0}}"#,
         )
