@@ -56,7 +56,7 @@ pub enum LdivError {
         String,
     ),
     /// The run's time budget ([`Params::deadline`](crate::Params::deadline),
-    /// `--deadline-ms`, `LDIV_DEADLINE_MS`) elapsed before the
+    /// `--deadline-ms`) elapsed before the
     /// publication was ready. The server maps this to HTTP 504.
     DeadlineExceeded,
 }

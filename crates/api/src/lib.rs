@@ -62,9 +62,9 @@ mod registry;
 pub mod repair;
 
 pub use error::LdivError;
-pub use ldiv_exec::{Deadline, DEADLINE_ENV};
+pub use ldiv_exec::Deadline;
 pub use mechanism::Mechanism;
-pub use params::{Params, MAX_SHARDS, SHARDS_ENV};
+pub use params::{Params, MAX_SHARDS};
 pub use publication::{AnatomyTables, AttrRange, Payload, Publication, SensitiveEntry};
 pub use recoding::Recoding;
 pub use registry::MechanismRegistry;

@@ -9,11 +9,6 @@ use ldiv_microdata::Table;
 /// `--shards 100000`, not against any sane configuration.
 pub const MAX_SHARDS: u32 = 64;
 
-/// The environment variable consulted when [`Params::shards`] is `0`
-/// (auto). The CI gate runs the whole suite under `LDIV_SHARDS=2` to
-/// flush out code paths that silently assume a single shard.
-pub const SHARDS_ENV: &str = "LDIV_SHARDS";
-
 /// Parameters common to every publication mechanism.
 ///
 /// Mechanisms read what applies to them: all of them honour [`l`](Params::l)
@@ -33,15 +28,14 @@ pub struct Params {
     pub l: u32,
     /// Fanout of generated balanced taxonomies (TDS and preprocessing).
     pub fanout: u32,
-    /// Intra-run thread budget; `0` means auto (`LDIV_THREADS`, else the
-    /// machine's parallelism). **Execution-only**: every mechanism must
-    /// publish byte-identical output for every budget, so this field is
-    /// deliberately excluded from [`canonical`](Params::canonical) — a
-    /// cached publication computed at one budget serves requests at any
-    /// other.
+    /// Intra-run thread budget; `0` means the machine's parallelism.
+    /// **Execution-only**: every mechanism must publish byte-identical
+    /// output for every budget, so this field is deliberately excluded
+    /// from [`canonical`](Params::canonical) — a cached publication
+    /// computed at one budget serves requests at any other.
     pub threads: u32,
-    /// Partition-level shard count for the `ldiv-shard` driver; `0`
-    /// means auto ([`SHARDS_ENV`], else 1 — sharding stays opt-in).
+    /// Partition-level shard count for the `ldiv-shard` driver; `0` and
+    /// `1` both mean unsharded (sharding stays opt-in).
     /// **Output-affecting**: anonymizing K shards and stitching them
     /// publishes a different (slightly less useful) table than one
     /// global run, so the resolved count participates in
@@ -58,15 +52,14 @@ pub struct Params {
 }
 
 impl Params {
-    /// Parameters at diversity `l` with default fanout 2, the auto
-    /// thread budget and the auto (single unless [`SHARDS_ENV`] says
-    /// otherwise) shard count.
+    /// Parameters at diversity `l` with default fanout 2, the machine's
+    /// thread budget and no sharding.
     pub fn new(l: u32) -> Self {
         Params {
             l,
             fanout: 2,
             threads: 0,
-            shards: 0,
+            shards: 1,
             deadline: Deadline::none(),
         }
     }
@@ -77,15 +70,15 @@ impl Params {
         self
     }
 
-    /// Replaces the intra-run thread budget (`0` = auto, `1` = strictly
-    /// sequential).
+    /// Replaces the intra-run thread budget (`0` = the machine's
+    /// parallelism, `1` = strictly sequential).
     pub fn with_threads(mut self, threads: u32) -> Self {
         self.threads = threads;
         self
     }
 
-    /// Replaces the partition-level shard count (`0` = auto via
-    /// [`SHARDS_ENV`], `1` = unsharded).
+    /// Replaces the partition-level shard count (`0` or `1` =
+    /// unsharded).
     pub fn with_shards(mut self, shards: u32) -> Self {
         self.shards = shards;
         self
@@ -99,24 +92,15 @@ impl Params {
         self
     }
 
-    /// The shard count this run publishes with: the explicit value, or —
-    /// when `0` — the [`SHARDS_ENV`] override, else 1. Clamped to
-    /// `1..=`[`MAX_SHARDS`]. Output depends on this resolution, which is
-    /// why [`canonical`](Params::canonical) spells it out instead of the
-    /// raw field. (On degenerate inputs the driver may effectively run
-    /// fewer shards — a K-way split needs K rows; the publication's
-    /// stitch note records the effective count.)
+    /// The shard count this run publishes with: [`shards`](Params::shards)
+    /// clamped to `1..=`[`MAX_SHARDS`], so `0` publishes what `1` does.
+    /// Output depends on this resolution, which is why
+    /// [`canonical`](Params::canonical) spells it out instead of the raw
+    /// field. (On degenerate inputs the driver may effectively run fewer
+    /// shards — a K-way split needs K rows; the publication's stitch
+    /// note records the effective count.)
     pub fn resolved_shards(&self) -> u32 {
-        let raw = if self.shards == 0 {
-            std::env::var(SHARDS_ENV)
-                .ok()
-                .and_then(|v| v.trim().parse::<u32>().ok())
-                .filter(|&n| n >= 1)
-                .unwrap_or(1)
-        } else {
-            self.shards
-        };
-        raw.clamp(1, MAX_SHARDS)
+        self.shards.clamp(1, MAX_SHARDS)
     }
 
     /// The [`Executor`] for this run's thread budget, carrying the
@@ -137,11 +121,11 @@ impl Params {
     /// determinism contract guarantees the thread budget never changes a
     /// publication, so including it would only split cache lines that
     /// hold identical results. [`shards`](Params::shards) *does* change
-    /// the published table, so its **resolved** value (auto spelled out,
-    /// so an env-dependent `0` can never alias two different outputs
-    /// under one key) is included. New fields must be classified here
-    /// when they are added to the struct (the exhaustive destructuring
-    /// below makes forgetting a compile error).
+    /// the published table, so its **resolved** value is included (`0`
+    /// and `1` publish the same table, so they share one key). New
+    /// fields must be classified here when they are added to the struct
+    /// (the exhaustive destructuring below makes forgetting a compile
+    /// error).
     pub fn canonical(&self) -> String {
         let Params {
             l,
@@ -183,8 +167,6 @@ mod tests {
 
     #[test]
     fn canonical_form_is_total_and_injective_on_output_fields() {
-        // Shards pinned explicitly: the suite also runs under an
-        // `LDIV_SHARDS` override in CI, which moves the *auto* form.
         assert_eq!(
             Params::new(4).with_shards(1).canonical(),
             "l=4;fanout=2;shards=1"
@@ -209,20 +191,15 @@ mod tests {
     fn shard_resolution_spells_out_auto_and_clamps() {
         assert_eq!(Params::new(4).with_shards(3).resolved_shards(), 3);
         assert_eq!(Params::new(4).with_shards(1_000_000).resolved_shards(), 64);
-        // The auto form follows the environment override, exactly like
-        // the canonical string reports it.
-        let auto = Params::new(4).resolved_shards();
-        let expect = std::env::var(SHARDS_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<u32>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(1)
-            .clamp(1, MAX_SHARDS);
-        assert_eq!(auto, expect);
+        // `0` publishes what `1` does, and the canonical string (a cache
+        // key component) says so: the two share one key.
+        assert_eq!(Params::new(4).resolved_shards(), 1);
+        assert_eq!(Params::new(4).with_shards(0).resolved_shards(), 1);
         assert_eq!(
-            Params::new(4).canonical(),
-            format!("l=4;fanout=2;shards={auto}")
+            Params::new(4).with_shards(0).canonical(),
+            "l=4;fanout=2;shards=1"
         );
+        assert_eq!(Params::new(4).canonical(), "l=4;fanout=2;shards=1");
     }
 
     #[test]
@@ -276,7 +253,7 @@ mod tests {
     fn executor_honours_the_budget() {
         assert_eq!(Params::new(2).with_threads(1).executor().threads(), 1);
         assert_eq!(Params::new(2).with_threads(5).executor().threads(), 5);
-        assert!(Params::new(2).executor().threads() >= 1); // auto
+        assert!(Params::new(2).executor().threads() >= 1); // all cores
     }
 
     #[test]

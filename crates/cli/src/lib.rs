@@ -244,28 +244,26 @@ the server serves under `Accept: application/x-ldiv-bin`.
 `ldiv wire ...` works on LDVW blocks directly (`--input -` reads the
 block or JSON from stdin): encode JSON → block, decode block → JSON,
 inspect/validate/stats for debugging and gating.
-`--threads T` caps intra-run parallelism (0 = auto via LDIV_THREADS or
-the machine, 1 = sequential); output is byte-identical for every T.
+`--threads T` caps intra-run parallelism (0 = the machine's
+parallelism, 1 = sequential); output is byte-identical for every T.
 `--shards K` splits the table K ways, anonymizes the shards
-concurrently and stitches with eligibility repair (0 = auto via
-LDIV_SHARDS, else 1). Unlike --threads this CHANGES the published
+concurrently and stitches with eligibility repair (0 or 1 =
+unsharded, the default). Unlike --threads this CHANGES the published
 table — the stitched output trades a little utility for shard-level
 scaling. `anonymize --depth` (preprocessing) always runs unsharded;
 combining it with an explicit --shards is a usage error.
 `--trace` prints a per-stage timing breakdown (csv read, shard split,
 per-shard anonymize, repair/merge, KL) to stderr after the run; stdout
 stays byte-identical to the untraced invocation.
-`--deadline-ms MS` caps a run's wall-clock budget (0 = auto via
-LDIV_DEADLINE_MS, else unlimited); an elapsed budget is a clean
-'deadline exceeded' error (HTTP 504 under serve), never a partial
-publication. The deadline is execution-only — it does not change the
-output bytes or the cache key.
+`--deadline-ms MS` caps a run's wall-clock budget (0 = unlimited, the
+default); an elapsed budget is a clean 'deadline exceeded' error (HTTP
+504 under serve), never a partial publication. The deadline is
+execution-only — it does not change the output bytes or the cache key.
 `serve` binds 127.0.0.1:7411 by default; `--addr 127.0.0.1:0` picks an
 ephemeral port (printed on stdout). POST /anonymize, POST /sweep,
 GET /mechanisms, /healthz, /stats, /metrics, /trace (recent request
-span trees when LDIV_TRACE=1 is set); with --store-root (or the
-ambient LDIV_STORE_ROOT) also the /datasets routes (register, append,
-publish). SIGINT/SIGTERM stops
+span trees when LDIV_TRACE=1 is set); with --store-root also the
+/datasets routes (register, append, publish). SIGINT/SIGTERM stops
 accepting, drains in-flight requests and prints a final stats summary.
 `ldiv dataset ...` works the same persistent store directly (share the
 DIR with `serve --store-root` to mix CLI ingestion with HTTP serving):
@@ -273,6 +271,10 @@ datasets are registered once by content fingerprint, grown by immutable
 append batches, and `publish` re-anonymizes only shards whose rows
 changed, reusing persisted per-shard results for the rest — the output
 is byte-identical to a cold run either way.
+Environment (read once at startup): LDIV_TRACE=1 arms request tracing,
+LDIV_SLOW_MS=MS logs traces slower than MS to stderr as JSON lines,
+LDIV_FAULT=SPEC arms fault injection (panic:<name|*>, slow:<ms>,
+queue_stall; comma-separated).
 Exit codes: 0 success, 1 user/runtime error, 2 usage error.
 ";
 
@@ -519,7 +521,7 @@ fn cmd_anonymize(opts: &Options) -> Result<String, LdivError> {
     let algo = opts.require("algo")?;
     let fanout: u32 = opts.parse_num("fanout", 2)?;
     let threads: u32 = opts.parse_num("threads", 0)?;
-    let shards: u32 = opts.parse_num("shards", 0)?;
+    let shards: u32 = opts.parse_num("shards", 1)?;
     let deadline_ms: u64 = opts.parse_num("deadline-ms", 0)?;
     let depth: Option<u32> = match opts.get("depth") {
         None => None,
@@ -532,11 +534,9 @@ fn cmd_anonymize(opts: &Options) -> Result<String, LdivError> {
              (drop --depth to write a CSV)",
         ));
     }
-    // An explicitly requested shard count would be silently dropped by
-    // the preprocessing workflow (it always runs unsharded), so reject
-    // the combination like --depth/--output above. The auto form
-    // (--shards 0 / LDIV_SHARDS) stays permitted: preprocessing is
-    // documented to ignore it.
+    // A sharded run would be silently dropped by the preprocessing
+    // workflow (it always runs unsharded), so reject the combination
+    // like --depth/--output above.
     if depth.is_some() && shards > 1 {
         return Err(usage_err(
             "--shards cannot be combined with --depth: the §5.6 \
@@ -552,7 +552,7 @@ fn cmd_anonymize(opts: &Options) -> Result<String, LdivError> {
         .with_fanout(fanout)
         .with_threads(threads)
         .with_shards(shards)
-        .with_deadline(Deadline::resolve_ms(deadline_ms));
+        .with_deadline(Deadline::within_ms(deadline_ms));
     // The whole run — parse, anonymize, metrics, CSV write — sits inside
     // one guard so a deadline raised at any checkpoint (or a mechanism
     // panic) comes back as an `LdivError` and an exit code, never as an
@@ -588,16 +588,10 @@ fn cmd_anonymize_run(
             .preprocess_depth(depth)
             .run(&table)?;
         if format == Format::Json {
-            // Preprocessing ran unsharded whatever the auto form would
-            // resolve to (explicit counts were rejected above), so the
-            // reported params — whose canonical string is a cache-key
-            // component — must say shards=1, not the ambient
-            // LDIV_SHARDS resolution.
-            let report_params = params.with_shards(1);
             return Ok(json_line(
                 Json::obj()
                     .field("mechanism", run.publication.mechanism())
-                    .field("params", wire::params_json(&report_params))
+                    .field("params", wire::params_json(&params))
                     .field("preprocess_depth", depth)
                     .field(
                         "dataset_fingerprint",
@@ -691,7 +685,7 @@ fn cmd_compare(opts: &Options) -> Result<String, LdivError> {
     let input = opts.require("input")?;
     let l = opts.require_l()?;
     let threads: u32 = opts.parse_num("threads", 0)?;
-    let shards: u32 = opts.parse_num("shards", 0)?;
+    let shards: u32 = opts.parse_num("shards", 1)?;
     let params = Params::new(l).with_threads(threads).with_shards(shards);
     with_cli_trace(opts.get("trace").is_some(), "cli:compare", || {
         cmd_compare_run(opts, &params, input, l)
@@ -890,13 +884,13 @@ fn cmd_dataset_publish(opts: &Options) -> Result<String, LdivError> {
     let l = opts.require_l()?;
     let fanout: u32 = opts.parse_num("fanout", 2)?;
     let threads: u32 = opts.parse_num("threads", 0)?;
-    let shards: u32 = opts.parse_num("shards", 0)?;
+    let shards: u32 = opts.parse_num("shards", 1)?;
     let deadline_ms: u64 = opts.parse_num("deadline-ms", 0)?;
     let params = Params::new(l)
         .with_fanout(fanout)
         .with_threads(threads)
         .with_shards(shards)
-        .with_deadline(Deadline::resolve_ms(deadline_ms));
+        .with_deadline(Deadline::within_ms(deadline_ms));
     let registry = standard_registry();
     let mechanism = registry.get_or_unknown(algo)?;
     let outcome = guarded("dataset:publish", || {
@@ -1004,23 +998,12 @@ pub fn start_server(opts: &Options) -> Result<(Server, String), LdivError> {
         shards: opts.parse_num("shards", defaults.shards)?,
         deadline_ms: opts.parse_num("deadline-ms", defaults.deadline_ms)?,
         dataset_root: opts.get("dataset-root").map(std::path::PathBuf::from),
-        // Like LDIV_THREADS / LDIV_SHARDS, the store root has an ambient
-        // form so a deployment (or a CI leg) can enable the dataset
-        // store for every served instance without threading the flag.
-        store_root: opts
-            .get("store-root")
-            .map(std::path::PathBuf::from)
-            .or_else(|| {
-                std::env::var("LDIV_STORE_ROOT")
-                    .ok()
-                    .filter(|v| !v.trim().is_empty())
-                    .map(std::path::PathBuf::from)
-            }),
+        store_root: opts.get("store-root").map(std::path::PathBuf::from),
     };
     let server = Server::bind(addr, standard_registry(), config)
         .map_err(|e| LdivError::Io(format!("{addr}: {e}")))?;
     // Report the *normalized* configuration the service actually runs
-    // with (worker/queue floors applied, shard auto resolved), matching
+    // with (worker/queue floors and shard clamp applied), matching
     // GET /stats.
     let running = server.state().config();
     let banner = format!(
@@ -1034,7 +1017,7 @@ pub fn start_server(opts: &Options) -> Result<(Server, String), LdivError> {
         } else {
             running.threads.to_string()
         },
-        running.resolved_shards()
+        running.shards
     );
     Ok((server, banner))
 }
@@ -1425,8 +1408,7 @@ mod tests {
         .unwrap();
         assert!(depth.contains("\"preprocess_depth\":2"), "{depth}");
         // Preprocessing always runs unsharded, and the reported params
-        // must say so even when LDIV_SHARDS would resolve the auto form
-        // higher (the CI override pass exercises exactly that).
+        // say so.
         assert!(depth.contains("\"shards\":1"), "{depth}");
         assert!(depth.contains("shards=1"), "{depth}");
 
@@ -1452,6 +1434,8 @@ mod tests {
     #[test]
     fn start_server_binds_ephemeral_port_and_answers_health() {
         use std::io::{Read as _, Write as _};
+        let store = std::env::temp_dir().join(format!("ldiv_cli_serve_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&store);
         let (server, banner) = start_server(&opts(&[
             "serve",
             "--addr",
@@ -1460,6 +1444,8 @@ mod tests {
             "2",
             "--cache",
             "8",
+            "--store-root",
+            &store.to_string_lossy(),
         ]))
         .unwrap();
         let addr = server.addr();
@@ -1467,15 +1453,21 @@ mod tests {
             banner.contains(&format!("http://{addr}")),
             "banner must carry the real port: {banner}"
         );
-        let mut stream = std::net::TcpStream::connect(addr).unwrap();
-        stream
-            .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
-            .unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
-        assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
-        assert!(response.contains("\"status\":\"ok\""), "{response}");
+        let get = |path: &str| {
+            let mut stream = std::net::TcpStream::connect(addr).unwrap();
+            write!(stream, "GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+            let mut response = String::new();
+            stream.read_to_string(&mut response).unwrap();
+            response
+        };
+        let health = get("/healthz");
+        assert!(health.starts_with("HTTP/1.1 200 OK"), "{health}");
+        assert!(health.contains("\"status\":\"ok\""), "{health}");
+        // `--store-root` attaches the dataset store.
+        let datasets = get("/datasets");
+        assert!(datasets.starts_with("HTTP/1.1 200 OK"), "{datasets}");
         server.shutdown();
+        let _ = std::fs::remove_dir_all(&store);
     }
 
     #[test]

@@ -39,10 +39,8 @@
 //!
 //! # Thread budget
 //!
-//! [`Executor::new`] takes the budget directly; `0` means *auto*: the
-//! `LDIV_THREADS` environment variable when set (the CI gate runs the
-//! whole suite under `LDIV_THREADS=1` to prove sequential equivalence),
-//! otherwise [`std::thread::available_parallelism`]. The budget is a
+//! [`Executor::new`] takes the budget directly; `0` means the machine's
+//! parallelism ([`std::thread::available_parallelism`]). The budget is a
 //! *global* cap for the executor and all its clones: an executor with
 //! budget `t` never has more than `t` threads doing work at once, no
 //! matter how deeply `join` recursion nests, because helper threads are
@@ -68,14 +66,6 @@ use std::time::{Duration, Instant};
 /// Hard ceiling on the thread budget; far above any sane `--threads`
 /// value, it only guards against typos like `--threads 100000`.
 pub const MAX_THREADS: usize = 64;
-
-/// The environment variable consulted when the budget is `0` (auto).
-pub const THREADS_ENV: &str = "LDIV_THREADS";
-
-/// The environment variable consulted when a deadline of `0` ms (auto)
-/// is resolved: a positive integer number of milliseconds, applied to
-/// every run that does not carry an explicit deadline.
-pub const DEADLINE_ENV: &str = "LDIV_DEADLINE_MS";
 
 /// The panic payload [`Deadline::check`] unwinds with when the budget
 /// has elapsed.
@@ -127,16 +117,6 @@ impl Deadline {
         }
     }
 
-    /// Resolves a raw millisecond setting the way the CLI and server
-    /// flags do: a positive value anchors a deadline now; `0` (auto)
-    /// consults [`DEADLINE_ENV`], else stays unlimited.
-    pub fn resolve_ms(raw_ms: u64) -> Self {
-        if raw_ms > 0 {
-            return Deadline::within_ms(raw_ms);
-        }
-        Deadline::within_ms(deadline_ms_from_env().unwrap_or(0))
-    }
-
     /// The absolute expiry instant, when one is set.
     pub fn due(&self) -> Option<Instant> {
         self.due
@@ -170,14 +150,6 @@ impl Deadline {
     }
 }
 
-/// The [`DEADLINE_ENV`] override, when set to a positive integer.
-pub fn deadline_ms_from_env() -> Option<u64> {
-    std::env::var(DEADLINE_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&ms| ms > 0)
-}
-
 /// A scoped fork-join executor with a fixed thread budget.
 ///
 /// Cloning is cheap and shares the budget: a clone handed into a forked
@@ -196,20 +168,19 @@ pub struct Executor {
 }
 
 impl Default for Executor {
-    /// The auto budget — equivalent to `Executor::new(0)`.
+    /// The machine's parallelism — equivalent to `Executor::new(0)`.
     fn default() -> Self {
         Executor::new(0)
     }
 }
 
 impl Executor {
-    /// An executor with the given thread budget. `0` means auto:
-    /// `LDIV_THREADS` when set to a positive integer, otherwise the
+    /// An executor with the given thread budget. `0` means the
     /// machine's available parallelism. The resolved budget is clamped
     /// to `1..=`[`MAX_THREADS`].
     pub fn new(threads: u32) -> Self {
         let resolved = if threads == 0 {
-            auto_threads()
+            std::thread::available_parallelism().map_or(1, |p| p.get())
         } else {
             threads as usize
         }
@@ -460,19 +431,6 @@ impl Drop for PermitGuard<'_> {
             self.exec.release();
         }
     }
-}
-
-fn auto_threads() -> usize {
-    if let Ok(raw) = std::env::var(THREADS_ENV) {
-        if let Ok(n) = raw.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
 }
 
 #[cfg(test)]

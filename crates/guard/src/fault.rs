@@ -1,4 +1,4 @@
-//! The fault-injection harness behind `LDIV_FAULT`.
+//! The fault-injection harness (`LDIV_FAULT` for the `ldiv` binary).
 //!
 //! Chaos testing needs a way to make the *real* service paths fail on
 //! demand: a mechanism that panics mid-request, a run that dawdles past
@@ -8,11 +8,10 @@
 //! single relaxed atomic load while disarmed, so production runs pay
 //! nothing measurable.
 //!
-//! A plan is armed either by the environment (`LDIV_FAULT=panic:*`,
-//! read once, lazily) or programmatically by [`install`] (which takes
-//! precedence and is what `tests/chaos.rs` uses to flip faults on and
-//! off around a live in-process server). Directives compose with
-//! commas: `LDIV_FAULT=slow:50,panic:mondrian`.
+//! A plan is armed by [`install`]: the `ldiv` binary installs the plan
+//! its `LDIV_FAULT` variable names once at startup, and `tests/chaos.rs`
+//! flips faults on and off around a live in-process server. Directives
+//! compose with commas: `slow:50,panic:mondrian`.
 //!
 //! | Directive | Effect at the injection point |
 //! |---|---|
@@ -23,11 +22,8 @@
 
 use ldiv_exec::Executor;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, Once};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-/// The environment variable holding the fault plan specification.
-pub const FAULT_ENV: &str = "LDIV_FAULT";
 
 /// How long a `queue_stall` directive parks the pool's dequeue per job
 /// — long enough for a concurrent burst to overflow a small queue into
@@ -51,8 +47,8 @@ pub enum Fault {
     QueueStall,
 }
 
-/// A parsed `LDIV_FAULT` specification: zero or more directives, all of
-/// which apply.
+/// A parsed fault specification: zero or more directives, all of which
+/// apply.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     faults: Vec<Fault>,
@@ -120,45 +116,21 @@ impl FaultPlan {
 
 // The armed flag is the fast path: injection points bail on one relaxed
 // load when no plan is installed. The plan itself sits behind a mutex
-// (poison-proof — this is the robustness crate) and `Once` arbitrates
-// between the lazy environment read and an explicit `install`.
+// (poison-proof — this is the robustness crate).
 static ARMED: AtomicBool = AtomicBool::new(false);
 static PLAN: Mutex<Option<Arc<FaultPlan>>> = Mutex::new(None);
-static INIT: Once = Once::new();
 
-fn set_plan(plan: Option<FaultPlan>) {
+/// Installs (or with `None` clears) the process-wide fault plan; an
+/// empty plan disarms too.
+pub fn install(plan: Option<FaultPlan>) {
     let plan = plan.filter(|p| !p.is_empty()).map(Arc::new);
     let mut slot = PLAN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     ARMED.store(plan.is_some(), Ordering::SeqCst);
     *slot = plan;
 }
 
-fn init_from_env() {
-    INIT.call_once(|| {
-        if let Ok(spec) = std::env::var(FAULT_ENV) {
-            match FaultPlan::parse(&spec) {
-                Ok(plan) => set_plan(Some(plan)),
-                Err(why) => eprintln!("ldiv-guard: ignoring invalid {FAULT_ENV}={spec:?}: {why}"),
-            }
-        }
-    });
-}
-
-/// Installs (or with `None` clears) the process-wide fault plan,
-/// overriding any `LDIV_FAULT` environment setting from then on. This
-/// is how the chaos suite arms and disarms faults around a live
-/// in-process server without touching the environment.
-pub fn install(plan: Option<FaultPlan>) {
-    // Claim initialization so a later lazy env read cannot clobber an
-    // explicit choice.
-    INIT.call_once(|| {});
-    set_plan(plan);
-}
-
-/// The currently armed plan, if any (resolving `LDIV_FAULT` on first
-/// use).
+/// The currently armed plan, if any.
 pub fn current() -> Option<Arc<FaultPlan>> {
-    init_from_env();
     if !ARMED.load(Ordering::Relaxed) {
         return None;
     }

@@ -11,10 +11,10 @@
 //!   structured [`LdivError`] — [`LdivError::DeadlineExceeded`] when the
 //!   payload is the executor's [`DeadlineExceeded`] cancellation token,
 //!   [`LdivError::Internal`] for everything else;
-//! * [`fault`] — the fault-injection harness behind `LDIV_FAULT`
-//!   (`panic:<mechanism>`, `panic:*`, `slow:<ms>`, `queue_stall`),
-//!   compiled in unconditionally but free when disarmed, driving the
-//!   chaos suite in `tests/chaos.rs`;
+//! * [`fault`] — the fault-injection harness (`panic:<mechanism>`,
+//!   `panic:*`, `slow:<ms>`, `queue_stall`), compiled in unconditionally
+//!   but costing one relaxed load when disarmed, driving the chaos suite
+//!   in `tests/chaos.rs` and the `ldiv` binary's `LDIV_FAULT`;
 //! * [`signals`] — process shutdown intent: a SIGINT/SIGTERM handler
 //!   setting one atomic flag the `serve` loop polls to trigger the
 //!   stop-accept → drain → join sequence.

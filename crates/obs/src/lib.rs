@@ -7,8 +7,8 @@
 //!   every layer (exec, guard, shard, store, server, cli, bench) can
 //!   emit spans without cycles.
 //! * **Disarmed by default.** When tracing is off, every instrumentation
-//!   point costs exactly one relaxed atomic load. Arm via `LDIV_TRACE=1`
-//!   or [`set_armed`].
+//!   point costs exactly one relaxed atomic load. Arm via [`set_armed`]
+//!   (the `ldiv` binary calls it at startup when `LDIV_TRACE` is set).
 //! * **Execution-only.** Nothing here may feed `Params::canonical()`,
 //!   cache keys, or any published byte. Byte-identity suites must pass
 //!   with tracing armed; the trace machinery only *observes* wall time.
@@ -21,8 +21,9 @@
 //! does this), so spans parent correctly across threads. Completed
 //! traces go to a bounded global ring ([`recent_traces`]) that backs the
 //! server's `GET /trace` endpoint and the CLI `--trace` table. A trace
-//! whose wall time crosses `LDIV_SLOW_MS` is additionally logged to
-//! stderr as single-line JSON.
+//! whose wall time crosses the [`set_slow_ms`] threshold (`LDIV_SLOW_MS`
+//! for the `ldiv` binary) is additionally logged to stderr as
+//! single-line JSON.
 
 pub mod hist;
 pub mod registry;
@@ -32,68 +33,32 @@ pub use registry::{validate_prometheus, Counter, HistogramFamily, Registry, Samp
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Once};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Environment variable that arms tracing (`1`/`true`/`on`).
-pub const TRACE_ENV: &str = "LDIV_TRACE";
-/// Environment variable holding the slow-request threshold in milliseconds.
-pub const SLOW_MS_ENV: &str = "LDIV_SLOW_MS";
 /// Capacity of the global completed-trace ring.
 pub const TRACE_RING_CAP: usize = 64;
 
 static ARMED: AtomicBool = AtomicBool::new(false);
-static INIT: Once = Once::new();
-static SLOW_INIT: Once = Once::new();
 /// Slow-log threshold in milliseconds; 0 means disabled.
 static SLOW_MS: AtomicU64 = AtomicU64::new(0);
 static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
 static RING: Mutex<Vec<Arc<FinishedTrace>>> = Mutex::new(Vec::new());
 
-fn env_truthy(value: &str) -> bool {
-    matches!(value.trim(), "1" | "true" | "on" | "yes")
-}
-
-fn init_from_env() {
-    INIT.call_once(|| {
-        if let Ok(v) = std::env::var(TRACE_ENV) {
-            if env_truthy(&v) {
-                ARMED.store(true, Ordering::Relaxed);
-            }
-        }
-    });
-}
-
-fn slow_ms() -> u64 {
-    SLOW_INIT.call_once(|| {
-        if let Ok(v) = std::env::var(SLOW_MS_ENV) {
-            if let Ok(ms) = v.trim().parse::<u64>() {
-                SLOW_MS.store(ms, Ordering::Relaxed);
-            }
-        }
-    });
-    SLOW_MS.load(Ordering::Relaxed)
-}
-
-/// Returns whether tracing is armed, reading `LDIV_TRACE` on first call.
+/// Returns whether tracing is armed.
 pub fn armed() -> bool {
-    init_from_env();
     ARMED.load(Ordering::Relaxed)
 }
 
-/// Arms or disarms tracing programmatically (tests, CLI `--trace`).
-///
-/// Claims the env-init `Once` first so a later lazy read of `LDIV_TRACE`
-/// cannot clobber an explicit setting — same idiom as fault installation
-/// in `ldiv-guard`.
+/// Arms or disarms tracing (the `ldiv` binary's `LDIV_TRACE`, CLI
+/// `--trace`, tests, benches).
 pub fn set_armed(on: bool) {
-    INIT.call_once(|| {});
     ARMED.store(on, Ordering::Relaxed);
 }
 
-/// Overrides the slow-request threshold (milliseconds; 0 disables).
+/// Sets the slow-request threshold (milliseconds; 0, the default,
+/// disables the slow log).
 pub fn set_slow_ms(ms: u64) {
-    SLOW_INIT.call_once(|| {});
     SLOW_MS.store(ms, Ordering::Relaxed);
 }
 
@@ -322,7 +287,7 @@ fn complete(inner: Arc<TraceInner>) -> Arc<FinishedTrace> {
         }
         ring.push(Arc::clone(&finished));
     }
-    let threshold = slow_ms();
+    let threshold = SLOW_MS.load(Ordering::Relaxed);
     if threshold > 0 && wall_ns >= threshold.saturating_mul(1_000_000) {
         eprintln!("{}", slow_log_line(&finished));
     }

@@ -62,20 +62,20 @@ pub struct ServerConfig {
     /// Publication-cache capacity in entries (0 disables caching).
     pub cache_capacity: usize,
     /// Intra-run thread budget applied to every anonymization run this
-    /// server performs (`0` = auto, `1` = sequential). Execution-only:
-    /// responses and cache keys are identical for every budget, so this
-    /// knob trades single-request latency against concurrent-request
-    /// throughput without any behavioural effect.
+    /// server performs (`0` = the machine's parallelism, `1` =
+    /// sequential). Execution-only: responses and cache keys are
+    /// identical for every budget, so this knob trades single-request
+    /// latency against concurrent-request throughput without any
+    /// behavioural effect.
     pub threads: u32,
-    /// Partition-level shard count applied to every run (`0` = auto via
-    /// `LDIV_SHARDS`, else 1; `K > 1` splits each table K ways and
-    /// stitches with eligibility repair). An operator knob like
+    /// Partition-level shard count applied to every run (`0` or `1` =
+    /// unsharded; `K > 1` splits each table K ways and stitches with
+    /// eligibility repair). An operator knob like
     /// [`threads`](ServerConfig::threads), but **output-affecting**: the
     /// resolved count participates in `Params::canonical`, so cached
     /// publications never alias across shard configurations.
     pub shards: u32,
-    /// Per-request time budget in milliseconds (`0` = auto: the
-    /// `LDIV_DEADLINE_MS` environment variable, else unlimited). The
+    /// Per-request time budget in milliseconds (`0` = unlimited). The
     /// budget is anchored when a request's parameters are parsed and
     /// covers the CSV parse and the whole run; an expiry surfaces as a
     /// 504 with kind `deadline_exceeded`. Execution-only, like
@@ -107,10 +107,8 @@ impl Default for ServerConfig {
             // saturates the machine across requests; operators serving
             // few, huge tables can raise this (or set 0 for auto).
             threads: 1,
-            // Auto (= 1 unless LDIV_SHARDS overrides): sharding changes
-            // output, so it stays opt-in.
-            shards: 0,
-            // Auto (= unlimited unless LDIV_DEADLINE_MS overrides).
+            // Unsharded: sharding changes output, so it stays opt-in.
+            shards: 1,
             deadline_ms: 0,
             dataset_root: None,
             store_root: None,
@@ -120,32 +118,15 @@ impl Default for ServerConfig {
 
 impl ServerConfig {
     /// The configuration as actually run: the worker pool needs at least
-    /// one thread and a queue depth of at least one, so those floors are
-    /// applied here — keeping what `/stats` and banners report in sync
-    /// with the pool's behaviour.
+    /// one thread and a queue depth of at least one, and a run shards
+    /// into `1..=MAX_SHARDS` pieces, so those bounds are applied here —
+    /// keeping what `/stats` and banners report in sync with the pool's
+    /// behaviour and the cache keys.
     fn normalized(mut self) -> Self {
         self.workers = self.workers.max(1);
         self.queue_depth = self.queue_depth.max(1);
-        // Pin the auto shard form once at startup: every request then
-        // carries an explicit count, so the hot path never re-reads the
-        // environment (canonical() and params_json() short-circuit on
-        // non-zero values) and a mid-flight env change cannot skew
-        // cache keys.
-        self.shards = self.resolved_shards();
-        // Pin the auto deadline form too, for the same reason: requests
-        // anchor against a fixed millisecond budget, never the live env.
-        if self.deadline_ms == 0 {
-            self.deadline_ms = ldiv_exec::deadline_ms_from_env().unwrap_or(0);
-        }
+        self.shards = Params::new(1).with_shards(self.shards).resolved_shards();
         self
-    }
-
-    /// The partition-level shard count runs actually use: the `0` auto
-    /// form resolved (env override, clamping) exactly as `Params` does,
-    /// so `/stats` and banners report what the cache keys say. After
-    /// [`AppState::new`] normalizes the config this is the identity.
-    pub fn resolved_shards(&self) -> u32 {
-        Params::new(1).with_shards(self.shards).resolved_shards()
     }
 }
 
@@ -850,7 +831,7 @@ fn samples(state: &AppState) -> Vec<Sample> {
             "run_shards",
             "ldiv_run_shards",
             "Partition-level shards per run",
-            config.resolved_shards().into(),
+            config.shards.into(),
         ),
         Sample::new(
             "deadline_ms",
@@ -1051,9 +1032,7 @@ fn params_from(state: &AppState, req: &Request) -> Result<Params, LdivError> {
         .ok_or_else(|| usage("missing query parameter 'l'"))?
         .parse()
         .map_err(|e| usage(format!("query parameter 'l': {e}")))?;
-    // `config.shards` is pinned non-zero by `normalized()`, so the
-    // request params never fall back to the env-reading auto form. The
-    // deadline anchors HERE — an absolute instant the parse, the run
+    // The deadline anchors HERE — an absolute instant the parse, the run
     // and every shard of it share.
     let mut params = Params::new(l)
         .with_threads(state.config.threads)

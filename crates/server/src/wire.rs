@@ -29,7 +29,7 @@ pub fn fingerprint_hex(fp: u64) -> String {
 }
 
 /// The `params` sub-object of a publication response. The shard count
-/// appears in its **resolved** form (auto spelled out), matching what
+/// appears in its **resolved** form (`0` spelled out as 1), matching what
 /// [`Params::canonical`] bakes into the cache key. On degenerate
 /// inputs the sharding driver may run fewer shards than requested
 /// (a K-way split of an n < K-row table); the stitch note in `notes`
@@ -175,8 +175,6 @@ mod tests {
         let partition =
             Partition::new_unchecked(vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7], vec![8, 9]]);
         let p = Publication::suppressed("tp", &t, partition).with_note("phase 1");
-        // Shards pinned: the suite also runs under an LDIV_SHARDS
-        // override, which moves the auto form of the canonical string.
         let params = Params::new(2).with_shards(1);
         let kl = ldiv_metrics::kl_divergence(&t, &p);
         let json = publication_json(&t, &p, &params, kl);

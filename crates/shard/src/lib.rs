@@ -49,7 +49,7 @@
 use ldiv_api::{LdivError, Mechanism, MechanismRegistry, Params, Publication};
 use ldiv_microdata::{Partition, RowId, Table};
 
-pub use ldiv_api::{MAX_SHARDS, SHARDS_ENV};
+pub use ldiv_api::MAX_SHARDS;
 
 /// Splits a table's rows into `k` shards by sensitive-value-stratified
 /// dealing: rows are ordered by SA value (stable, so original order

@@ -128,8 +128,8 @@ impl Anonymizer {
         self
     }
 
-    /// Sets the intra-run thread budget (`0` = auto via `LDIV_THREADS`
-    /// or the machine's parallelism, `1` = strictly sequential).
+    /// Sets the intra-run thread budget (`0` = the machine's
+    /// parallelism, `1` = strictly sequential).
     ///
     /// Execution-only: the publication is byte-identical for every
     /// budget — the differential suite `tests/parallel_equivalence.rs`
@@ -139,30 +139,27 @@ impl Anonymizer {
         self
     }
 
-    /// Sets the partition-level shard count (`0` = auto via
-    /// `LDIV_SHARDS`, `1` = unsharded). With K > 1 the run splits the
-    /// table K ways (`ldiv-shard`), anonymizes the shards concurrently
-    /// and stitches them with eligibility repair.
+    /// Sets the partition-level shard count (`0` or `1` = unsharded, the
+    /// default). With K > 1 the run splits the table K ways
+    /// (`ldiv-shard`), anonymizes the shards concurrently and stitches
+    /// them with eligibility repair.
     ///
     /// **Output-affecting**, unlike [`threads`](Anonymizer::threads):
     /// the stitched table trades a little utility for shard-level
     /// scaling — `tests/shard_equivalence.rs` bounds the trade and pins
     /// `shards = 1` byte-identical to the unsharded path. The §5.6
     /// preprocessing workflow runs unsharded: combining
-    /// [`preprocess_depth`](Anonymizer::preprocess_depth) with an
-    /// explicit shard count > 1 makes [`run`](Anonymizer::run) return
+    /// [`preprocess_depth`](Anonymizer::preprocess_depth) with a shard
+    /// count > 1 makes [`run`](Anonymizer::run) return
     /// [`LdivError::InvalidParams`] rather than silently dropping the
-    /// request. The auto form — `0`, possibly resolved through
-    /// `LDIV_SHARDS` — stays permitted, but when the ambient override
-    /// resolves above 1 the publication carries an explicit note that
-    /// the coarse table ran unsharded.
+    /// request.
     pub fn shards(mut self, shards: u32) -> Self {
         self.params.shards = shards;
         self
     }
 
-    /// Caps the run's wall-clock budget in milliseconds (`0` = auto via
-    /// `LDIV_DEADLINE_MS`, else unlimited). An elapsed budget makes
+    /// Caps the run's wall-clock budget in milliseconds (`0` =
+    /// unlimited, the default). An elapsed budget makes
     /// [`run`](Anonymizer::run) return
     /// [`LdivError::DeadlineExceeded`] — never a partial publication.
     ///
@@ -195,12 +192,9 @@ impl Anonymizer {
     /// taxonomy at `depth` (0 = fully generalized) and run the mechanism
     /// on the coarsened table.
     ///
-    /// The coarse table always runs unsharded. An explicit
+    /// The coarse table always runs unsharded: a
     /// [`shards`](Anonymizer::shards) count > 1 is rejected with
-    /// [`LdivError::InvalidParams`]; when the auto form resolves above 1
-    /// through the ambient `LDIV_SHARDS` override, the publication notes
-    /// `preprocessing: coarse table ran unsharded (…)` so the dropped
-    /// override is visible instead of silent.
+    /// [`LdivError::InvalidParams`].
     pub fn preprocess_depth(mut self, depth: u32) -> Self {
         self.preprocess_depth = Some(depth);
         self
@@ -222,7 +216,7 @@ impl Anonymizer {
     pub fn run(&self, table: &Table) -> Result<Anonymized, LdivError> {
         let params = self
             .params
-            .with_deadline(ldiv_api::Deadline::resolve_ms(self.deadline_ms));
+            .with_deadline(ldiv_api::Deadline::within_ms(self.deadline_ms));
         ldiv_guard::guarded("anonymizer", || self.run_inner(table, &params))
     }
 
@@ -241,12 +235,10 @@ impl Anonymizer {
                 })
             }
             Some(depth) => {
-                // Preprocessing runs unsharded; an explicitly requested
-                // shard count would be silently dropped, so reject it
-                // (the CLI surfaces the same conflict as a usage error
-                // before it ever reaches this path). The auto form —
-                // `0`, even when `LDIV_SHARDS` resolves it above 1 — is
-                // the documented "unsharded preprocessing" default.
+                // Preprocessing runs unsharded; a requested shard count
+                // would be silently dropped, so reject it (the CLI
+                // surfaces the same conflict as a usage error before it
+                // ever reaches this path).
                 if params.shards > 1 {
                     return Err(LdivError::InvalidParams(format!(
                         "preprocessing (preprocess_depth) runs unsharded; drop the explicit \
@@ -261,18 +253,7 @@ impl Anonymizer {
                     table, &recoding, mechanism, params,
                 )?;
                 run.publication.validate(&run.coarse_table, params.l)?;
-                let mut publication = run.publication;
-                // The auto shard form (`0`) may resolve above 1 through
-                // the ambient `LDIV_SHARDS` override; preprocessing still
-                // runs unsharded, and that divergence must be visible in
-                // the publication itself, not silently absorbed.
-                let ambient = params.resolved_shards();
-                if params.shards == 0 && ambient > 1 {
-                    publication.push_note(format!(
-                        "preprocessing: coarse table ran unsharded \
-                         (ambient LDIV_SHARDS={ambient} not applied)"
-                    ));
-                }
+                let publication = run.publication;
                 let kl = run.kl.ok_or_else(|| {
                     LdivError::InvalidParams(format!(
                         "preprocessing requires a suppression mechanism, but '{}' \
@@ -352,9 +333,8 @@ mod tests {
     #[test]
     fn preprocessing_rejects_an_explicit_shard_count() {
         // The CLI surfaces this conflict as a usage error; the library
-        // must not silently drop the requested sharding either. The
-        // auto form (0) stays permitted — preprocessing is documented
-        // to run unsharded under it.
+        // must not silently drop the requested sharding either. `0`
+        // stays permitted: it means unsharded, like `1`.
         let t = samples::hospital();
         let err = Anonymizer::new()
             .l(2)
@@ -370,59 +350,6 @@ mod tests {
             .preprocess_depth(1)
             .run(&t)
             .unwrap();
-    }
-
-    #[test]
-    fn preprocessing_notes_an_ambient_shard_override() {
-        // With `shards = 0` the ambient `LDIV_SHARDS` override may
-        // resolve above 1; preprocessing still runs unsharded and must
-        // say so in the publication. This test is differential on the
-        // environment: the CI leg that runs the suite under
-        // `LDIV_SHARDS=2` exercises the note path, a plain run the
-        // silent path.
-        let t = samples::hospital();
-        let run = Anonymizer::new()
-            .l(2)
-            .shards(0)
-            .preprocess_depth(1)
-            .run(&t)
-            .unwrap();
-        let ambient = Params::new(2).resolved_shards();
-        let noted = run
-            .publication
-            .notes()
-            .iter()
-            .any(|n| n.contains("coarse table ran unsharded"));
-        if ambient > 1 {
-            assert!(noted, "notes: {:?}", run.publication.notes());
-            assert!(
-                run.publication
-                    .notes()
-                    .iter()
-                    .any(|n| n.contains(&format!("LDIV_SHARDS={ambient}"))),
-                "notes: {:?}",
-                run.publication.notes()
-            );
-        } else {
-            assert!(!noted, "notes: {:?}", run.publication.notes());
-        }
-        // An explicit shard request of 1 is genuinely unsharded — never
-        // noted, whatever the environment says.
-        let explicit = Anonymizer::new()
-            .l(2)
-            .shards(1)
-            .preprocess_depth(1)
-            .run(&t)
-            .unwrap();
-        assert!(
-            !explicit
-                .publication
-                .notes()
-                .iter()
-                .any(|n| n.contains("coarse table ran unsharded")),
-            "notes: {:?}",
-            explicit.publication.notes()
-        );
     }
 
     #[test]

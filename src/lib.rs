@@ -112,7 +112,7 @@ pub use ldiv_exec as exec;
 pub use ldiv_exec::{Deadline, Executor};
 
 /// Robustness layer: panic isolation (`guarded`), fault injection
-/// (`LDIV_FAULT`) and cooperative shutdown signals.
+/// and cooperative shutdown signals.
 pub use ldiv_guard as guard;
 
 /// Information-loss metrics (stars, KL-divergence of Eq. 2), uniform

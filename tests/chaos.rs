@@ -14,7 +14,9 @@
 //! * a stalled queue overflows into immediate `503`s instead of an
 //!   unbounded backlog;
 //! * `/sweep` reports a faulted mechanism as a per-mechanism error
-//!   entry inside a `200`, never by dropping the whole sweep.
+//!   entry inside a `200`, never by dropping the whole sweep;
+//! * a benign `slow:1` plan, armed at every mechanism and store entry
+//!   point, changes no response byte.
 //!
 //! The fault plan is process-global: an armed `panic:*` faults every
 //! server in the process, not just the test's own. So every test holds
@@ -23,7 +25,9 @@
 
 mod common;
 
-use common::{dataset_csv, http, json_u64, registered_fingerprint, request, serial, with_faults};
+use common::{
+    dataset_csv, http, json_u64, registered_fingerprint, request, serial, with_faults, TempRoot,
+};
 use ldiversity::obs::registry::validate_prometheus;
 use ldiversity::server::{handle_request, AppState, Server, ServerConfig};
 use ldiversity::standard_registry;
@@ -438,4 +442,55 @@ fn store_survives_a_panic_burst_across_the_append_publish_window() {
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A benign plan changes nothing a client can see: with every fault
+/// site sleeping 1 ms — each mechanism's entry point (all six, through
+/// `/sweep`, per shard) and the store's `store:register`,
+/// `store:append` and `store:publish` sites — every answer is the
+/// status and body the disarmed service gives.
+#[test]
+fn a_slow_fault_plan_changes_no_response_byte() {
+    let lock = serial();
+    let csv = dataset_csv(400, 77);
+    let batch = {
+        // The dataset's header plus five of its own rows.
+        let text = String::from_utf8(csv.clone()).unwrap();
+        let lines: Vec<&str> = text.lines().take(6).collect();
+        format!("{}\n", lines.join("\n")).into_bytes()
+    };
+    let run = || {
+        // A fresh state and store per run: identical history on both sides.
+        let root = TempRoot::new("chaos-slow");
+        let state = AppState::new(
+            standard_registry(),
+            ServerConfig {
+                shards: 2,
+                store_root: Some(root.0.clone()),
+                ..ServerConfig::default()
+            },
+        );
+        let mut answers = Vec::new();
+        let mut send = |path: &str, query: &[(&str, &str)], body: &[u8]| {
+            let response = handle_request(&state, &request("POST", path, query, body));
+            answers.push((response.status, response.body.clone()));
+            response.body
+        };
+        send("/sweep", &[("l", "3")], &csv);
+        let fp = registered_fingerprint(&send("/datasets", &[], &csv));
+        send(&format!("/datasets/{fp}/append"), &[], &batch);
+        send(
+            &format!("/datasets/{fp}/publish"),
+            &[("algo", "tp+"), ("l", "3")],
+            b"",
+        );
+        answers
+    };
+
+    let disarmed = run();
+    let slowed = with_faults(&lock, "slow:1", run);
+    for (status, body) in &disarmed {
+        assert_eq!(*status, 200, "{body}");
+    }
+    assert_eq!(disarmed, slowed, "a slow:1 plan moved a response");
 }

@@ -16,8 +16,7 @@
 //! enough that the CSV reader codes many distinct labels per column and
 //! every KL payload indexes about two thousand support points and
 //! hundreds of groups.
-//! Params are fully explicit (`shards` included) so the fixtures hold
-//! under the CI `LDIV_SHARDS` override pass.
+//! Params are fully explicit, `shards` included.
 //!
 //! Every `*.json` fixture also has a `*.bin` twin: the same value as
 //! one LDVW binary block (`ldiv-wire`), cross-checked here so the two

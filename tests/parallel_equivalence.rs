@@ -10,10 +10,11 @@
 //! The suite compares the full wire-serialized publication
 //! (`ldiv_server::wire::publication_json`, the exact bytes `POST
 //! /anonymize` returns) of every mechanism at `threads ∈ {2, 8}` against
-//! the sequential (`threads = 1`) run. The table is big enough that the
-//! parallel paths actually engage: Mondrian's fork threshold (4 096 rows
-//! per subtree), the 4 096-point KL chunking, the 8 192-row Hilbert
-//! index chunks and the 16 384-row anatomy scan chunks are all crossed.
+//! the sequential (`threads = 1`) run, unsharded and through a 2-way
+//! sharded stitch. The table is big enough that the parallel paths
+//! actually engage: Mondrian's fork threshold (4 096 rows per subtree),
+//! the 4 096-point KL chunking, the 8 192-row Hilbert index chunks and
+//! the 16 384-row anatomy scan chunks are all crossed.
 
 use ldiversity::datagen::{sal, AcsConfig};
 use ldiversity::metrics::kl_divergence_with;
@@ -23,10 +24,8 @@ use ldiversity::{standard_registry, Executor, Params};
 
 /// The canonical wire bytes of one run — mechanism output plus the KL
 /// measured under the same budget. Dispatched through the sharding
-/// driver (the path the facade, CLI and server all take): with the
-/// default shard count this is the mechanism itself, and under the CI
-/// `LDIV_SHARDS` override pass the byte-identity gate below covers the
-/// sharded stitch too.
+/// driver (the path the facade, CLI and server all take): at one shard
+/// this is the mechanism itself, at more it is the sharded stitch.
 fn wire_bytes(
     table: &ldiversity::microdata::Table,
     registry: &ldiversity::MechanismRegistry,
@@ -42,29 +41,32 @@ fn wire_bytes(
 #[test]
 fn every_mechanism_is_byte_identical_across_thread_budgets() {
     // 20k rows: large enough to cross every parallel threshold, small
-    // enough to run 6 mechanisms × 3 budgets in tier-1.
+    // enough to run 6 mechanisms × 3 budgets × 2 shard counts in tier-1.
     let table = sal(&AcsConfig {
         rows: 20_000,
         seed: 1234,
     });
     let registry = standard_registry();
-    for name in registry.names() {
-        let sequential = wire_bytes(&table, &registry, name, &Params::new(4).with_threads(1));
-        assert!(
-            sequential.contains(&format!("\"mechanism\":\"{name}\"")),
-            "{name}: {sequential}"
-        );
-        for threads in [2u32, 8] {
-            let parallel = wire_bytes(
-                &table,
-                &registry,
-                name,
-                &Params::new(4).with_threads(threads),
+    for shards in [1u32, 2] {
+        for name in registry.names() {
+            let params = Params::new(4).with_shards(shards);
+            let sequential = wire_bytes(&table, &registry, name, &params.with_threads(1));
+            assert!(
+                sequential.contains(&format!("\"mechanism\":\"{name}\"")),
+                "{name}: {sequential}"
             );
-            assert_eq!(
-                sequential, parallel,
-                "{name}: threads={threads} diverged from the sequential publication"
+            assert!(
+                sequential.contains(&format!("shards={shards}")),
+                "{name}: {sequential}"
             );
+            for threads in [2u32, 8] {
+                let parallel = wire_bytes(&table, &registry, name, &params.with_threads(threads));
+                assert_eq!(
+                    sequential, parallel,
+                    "{name}: threads={threads} shards={shards} diverged from the sequential \
+                     publication"
+                );
+            }
         }
     }
 }

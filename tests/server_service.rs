@@ -103,8 +103,7 @@ fn parallel_sweep_matches_sequential_runs() {
     // saw (parsing re-infers the schema, so the generator table itself
     // is not byte-comparable). Dispatched through the sharding driver
     // with the server's own thread/shard configuration, so the reference
-    // matches what the routes ran — including under an `LDIV_SHARDS`
-    // override.
+    // matches what the routes ran.
     let config = state.config();
     let params = Params::new(3)
         .with_threads(config.threads)

@@ -6,7 +6,8 @@
 //!   documented tolerance: leaves cover at least a quarter of the wall
 //!   on a single-threaded, single-shard run, and never exceed it);
 //! * armed tracing adds the `X-Ldiv-Trace-Id` response header but never
-//!   changes a response body — byte-identity armed vs disarmed;
+//!   changes a response body, JSON or binary, on the publication or the
+//!   dataset-store routes — byte-identity armed vs disarmed;
 //! * the `/metrics` scrape obeys the strict Prometheus line grammar and
 //!   carries the per-route / per-mechanism latency histograms;
 //! * `/stats` and `/metrics` cannot drift: every integer leaf of `/stats`
@@ -96,34 +97,65 @@ fn trace_reports_a_span_tree_accounting_for_wall_time() {
     obs::set_armed(false);
 }
 
-/// Tracing is execution-only: arming it changes no response body, on
-/// the anonymize path or the sweep path. Disarmed responses carry no
-/// trace-id header; armed ones do.
+/// Tracing is execution-only: arming it changes no response body, JSON
+/// or binary, on the anonymize and sweep paths or the dataset store's
+/// register, append and publish. Disarmed responses carry no trace-id
+/// header; armed ones do.
 #[test]
 fn responses_are_byte_identical_armed_and_disarmed() {
     let _guard = serial();
     let csv = dataset_csv(400, 42);
+    let batch = {
+        // The dataset's header plus five of its own rows.
+        let text = String::from_utf8(csv.clone()).unwrap();
+        let lines: Vec<&str> = text.lines().take(6).collect();
+        format!("{}\n", lines.join("\n")).into_bytes()
+    };
     let run = |armed: bool| {
         obs::set_armed(armed);
-        // A fresh state per run: identical cache history on both sides.
-        let state = AppState::new(standard_registry(), ServerConfig::default());
-        let anonymize = handle_request(
-            &state,
-            &request("POST", "/anonymize", &[("algo", "tp"), ("l", "3")], &csv),
+        // A fresh store-backed state per run: identical cache and store
+        // history on both sides.
+        let root = TempRoot::new("obs-armed");
+        let state = AppState::new(
+            standard_registry(),
+            ServerConfig {
+                store_root: Some(root.0.clone()),
+                ..ServerConfig::default()
+            },
         );
-        let sweep = handle_request(&state, &request("POST", "/sweep", &[("l", "3")], &csv));
-        (anonymize, sweep)
+        let send = |path: &str, query: &[(&str, &str)], body: &[u8]| {
+            handle_request(&state, &request("POST", path, query, body))
+        };
+        let anonymize = send("/anonymize", &[("algo", "tp"), ("l", "3")], &csv);
+        let binary = send(
+            "/anonymize",
+            &[("algo", "mondrian"), ("l", "3"), ("format", "bin")],
+            &csv,
+        );
+        let sweep = send("/sweep", &[("l", "3")], &csv);
+        let registered = send("/datasets", &[], &csv);
+        let fp = registered_fingerprint(&registered.body);
+        let appended = send(&format!("/datasets/{fp}/append"), &[], &batch);
+        let published = send(
+            &format!("/datasets/{fp}/publish"),
+            &[("algo", "tp+"), ("l", "3")],
+            b"",
+        );
+        [anonymize, binary, sweep, registered, appended, published]
     };
 
-    let (anon_off, sweep_off) = run(false);
-    let (anon_on, sweep_on) = run(true);
+    let off = run(false);
+    let on = run(true);
     obs::set_armed(false);
 
-    assert_eq!(anon_off.status, 200, "{}", anon_off.body);
-    assert_eq!(anon_off.body, anon_on.body, "anonymize body drifted");
-    assert_eq!(sweep_off.body, sweep_on.body, "sweep body drifted");
-    assert!(header(&anon_off, "X-Ldiv-Trace-Id").is_none());
-    assert!(header(&anon_on, "X-Ldiv-Trace-Id").is_some());
+    assert!(off[1].bytes.is_some(), "format=bin answers an LDVW block");
+    for (off, on) in off.iter().zip(&on) {
+        assert_eq!(off.status, 200, "{}", off.body);
+        assert_eq!(off.body, on.body, "body drifted under tracing");
+        assert_eq!(off.bytes, on.bytes, "binary body drifted under tracing");
+        assert!(header(off, "X-Ldiv-Trace-Id").is_none());
+        assert!(header(on, "X-Ldiv-Trace-Id").is_some());
+    }
 }
 
 /// The `/metrics` scrape passes the strict Prometheus line-grammar
@@ -161,7 +193,7 @@ fn metrics_scrape_obeys_the_prometheus_line_grammar() {
 }
 
 /// A real server with every `/stats` group present (a worker pool and a
-/// store) and every environment-resolved knob pinned. Requests go
+/// store) and every knob the document reports pinned. Requests go
 /// straight to its router, exactly as the socket path calls it.
 fn store_server(root: &TempRoot) -> Server {
     let config = ServerConfig {
