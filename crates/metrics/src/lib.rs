@@ -12,11 +12,17 @@
 //!   spreads uniformly over its sub-domain.
 //!
 //! Computing `KL(f, f*)` naively is `Σ_p`-over-support × `Σ`-over-groups.
-//! [`kl_divergence_suppressed`] instead indexes generalized rows by *star
-//! pattern* (there are at most `2^d` patterns, typically a handful), so
-//! each support point probes one hash map per pattern.
+//! Every KL kind instead packs each `(QI vector, SA)` point into one
+//! `u64` key whose integer order is the point order, and finds the
+//! support by sorting keys. [`kl_divergence_suppressed`] files the
+//! groups' masses under their SA value, one sorted run per *star
+//! pattern* (at most `2^d`, typically a handful), so each support point
+//! binary-searches the runs of its own SA value. The boxes KL tests a
+//! point against a packed box in a few integer operations.
 //! [`kl_divergence_recoded`] exploits that single-dimensional (global)
 //! recoding sends every support point to exactly one generalized cell.
+//! Tables whose points don't pack into 64 bits take slice-keyed
+//! reference paths with bit-identical results.
 //!
 //! Since the `ldiv-api` redesign, the one entry point callers need is
 //! [`kl_divergence`], which accepts any mechanism's

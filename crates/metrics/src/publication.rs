@@ -13,7 +13,7 @@
 //! * **Anatomy** keeps every QI vector exact and spreads the SA value
 //!   over the group's published sensitive-table distribution.
 
-use crate::kl::{support_points, KL_CHUNK};
+use crate::kl::{support_points, PointKeys, SaCounts, KL_CHUNK};
 use crate::{kl_divergence_recoded_with, kl_divergence_suppressed_with};
 use ldiv_api::{AnatomyTables, AttrRange, Payload, Publication, SensitiveEntry};
 use ldiv_exec::Executor;
@@ -53,7 +53,8 @@ pub fn kl_divergence_with(table: &Table, publication: &Publication, exec: &Execu
 /// Exact. Boxes may overlap arbitrarily after the §6.2 star-to-box
 /// transformation, so each support point tests every group's box that
 /// holds the point's SA value: `O(n log n + |support| · #groups per SA
-/// value)`.
+/// value)`, where one box test is a few `u64` operations on packed
+/// corners.
 pub fn kl_divergence_boxes(table: &Table, partition: &Partition, boxes: &[Vec<AttrRange>]) -> f64 {
     kl_divergence_boxes_with(table, partition, boxes, &Executor::default())
 }
@@ -68,37 +69,77 @@ pub fn kl_divergence_boxes_with(
 ) -> f64 {
     assert_eq!(partition.group_count(), boxes.len());
     assert_eq!(partition.covered_rows(), table.len());
-    let n = table.len() as f64;
     if table.is_empty() {
         return 0.0;
     }
+    boxes_packed(table, partition, boxes, exec)
+        .unwrap_or_else(|| boxes_reference(table, partition, boxes, exec))
+}
 
-    // For every SA value, the groups that hold it, in group order, each
-    // with its box and its mass of that value: one uniform spread over
-    // the box per row, added in turn (not `rows · spread`, which can
-    // differ in the last ulp).
-    let m = table.schema().sa_domain_size() as usize;
-    let mut by_sa: Vec<Vec<(&[AttrRange], f64)>> = vec![Vec::new(); m];
-    let mut rows_of = vec![0u32; m];
-    let mut held: Vec<usize> = Vec::new();
+/// For every SA value below `slots`, the groups that hold it, in group
+/// order, each with its box as `corner` renders it and its mass of that
+/// value: one uniform spread over the box per row, added in turn (not
+/// `rows · spread`, which can differ in the last ulp). `None` when a box
+/// doesn't render.
+fn box_masses<'b, B: Copy>(
+    table: &Table,
+    partition: &Partition,
+    boxes: &'b [Vec<AttrRange>],
+    slots: usize,
+    corner: impl Fn(&'b [AttrRange]) -> Option<B>,
+) -> Option<Vec<Vec<(B, f64)>>> {
+    let mut by_sa: Vec<Vec<(B, f64)>> = vec![Vec::new(); slots];
+    let mut sa_counts = SaCounts::new(slots);
     for (rows, ranges) in partition.groups().iter().zip(boxes) {
         let spread: f64 = ranges.iter().map(|r| 1.0 / r.width() as f64).product();
-        for &r in rows {
-            let s = table.sa_value(r) as usize;
-            if rows_of[s] == 0 {
-                held.push(s);
-            }
-            rows_of[s] += 1;
-        }
-        for s in held.drain(..) {
-            let mass = (0..rows_of[s]).fold(0.0, |mass, _| mass + spread);
-            by_sa[s].push((ranges, mass));
-            rows_of[s] = 0;
-        }
+        let corners = corner(ranges)?;
+        sa_counts.each(table, rows, |s, held| {
+            let mass = (0..held).fold(0.0, |mass, _| mass + spread);
+            by_sa[s as usize].push((corners, mass));
+        });
     }
+    Some(by_sa)
+}
 
+/// The boxes KL on packed keys and corners; `None` when the table or a
+/// box doesn't pack. Bit-identical to [`boxes_reference`]: the same
+/// masses, tested in the same order.
+pub(crate) fn boxes_packed(
+    table: &Table,
+    partition: &Partition,
+    boxes: &[Vec<AttrRange>],
+    exec: &Executor,
+) -> Option<f64> {
+    let (keys, points) = PointKeys::support(table)?;
+    let by_sa = box_masses(table, partition, boxes, keys.sa_slots(), |r| {
+        keys.corners(r)
+    })?;
+    let (n, sa_mask) = (table.len() as f64, keys.sa_mask());
+    Some(exec.sum_chunked(&points, KL_CHUNK, |p| {
+        let f_p = p.count as f64 / n;
+        let mut fstar = 0.0;
+        for &((lo, hi), mass) in &by_sa[(p.key & sa_mask) as usize] {
+            if keys.in_box(p.key, lo, hi) {
+                fstar += mass;
+            }
+        }
+        let fstar_p = fstar / n;
+        debug_assert!(fstar_p > 0.0, "f* must cover the support");
+        f_p * (f_p / fstar_p).ln()
+    }))
+}
+
+/// The boxes KL on the slice-keyed support, for tables that don't pack.
+pub(crate) fn boxes_reference(
+    table: &Table,
+    partition: &Partition,
+    boxes: &[Vec<AttrRange>],
+    exec: &Executor,
+) -> f64 {
+    let n = table.len() as f64;
+    let m = table.schema().sa_domain_size() as usize;
+    let by_sa = box_masses(table, partition, boxes, m, Some).expect("every box renders");
     let points = support_points(table);
-    let by_sa = &by_sa;
     exec.sum_chunked(&points, KL_CHUNK, |&(row, count)| {
         let f_p = count as f64 / n;
         let qi = table.qi_row(row);
@@ -133,36 +174,108 @@ pub fn kl_divergence_anatomy_tables_with(
     tables: &AnatomyTables,
     exec: &Executor,
 ) -> f64 {
-    let n = table.len() as f64;
     if table.is_empty() {
         return 0.0;
     }
     assert_eq!(tables.group_of.len(), table.len());
+    anatomy_packed(table, partition, tables, exec)
+        .unwrap_or_else(|| anatomy_reference(table, partition, tables, exec))
+}
 
-    // Each group's published SA distribution as one run of `(value,
-    // share)` pairs sorted by value, the runs in group order. Memory
-    // stays linear in the sensitive table, however many groups and SA
-    // values a client's table has.
-    let groups = partition.groups();
-    let mut entries: Vec<&SensitiveEntry> = tables.entries.iter().collect();
-    entries.sort_by_key(|e| (e.group, e.value));
-    let mut starts = vec![0usize; groups.len() + 1];
-    for e in &entries {
-        starts[e.group as usize + 1] += 1;
-    }
-    for g in 0..groups.len() {
-        starts[g + 1] += starts[g];
-    }
-    let shares: Vec<(Value, f64)> = entries
-        .iter()
-        .map(|e| {
-            let size = groups[e.group as usize].len() as f64;
-            (e.value, e.count as f64 / size)
-        })
-        .collect();
+/// Each group's published SA distribution as one run of `(value,
+/// share)` pairs sorted by value, the runs in group order. Memory stays
+/// linear in the sensitive table, however many groups and SA values a
+/// client's table has.
+struct Shares {
+    shares: Vec<(Value, f64)>,
+    starts: Vec<usize>,
+}
 
-    // f*(q, s) = Σ_{rows r with qi = q} share(group(r), s) / n. Aggregate
-    // rows by (QI vector, group) first, keyed on the table's own rows.
+impl Shares {
+    fn new(partition: &Partition, tables: &AnatomyTables) -> Shares {
+        let groups = partition.groups();
+        let mut entries: Vec<&SensitiveEntry> = tables.entries.iter().collect();
+        entries.sort_by_key(|e| (e.group, e.value));
+        let mut starts = vec![0usize; groups.len() + 1];
+        for e in &entries {
+            starts[e.group as usize + 1] += 1;
+        }
+        for g in 0..groups.len() {
+            starts[g + 1] += starts[g];
+        }
+        let shares = entries
+            .iter()
+            .map(|e| {
+                let size = groups[e.group as usize].len() as f64;
+                (e.value, e.count as f64 / size)
+            })
+            .collect();
+        Shares { shares, starts }
+    }
+
+    /// Group `g`'s share of SA value `s`, if it publishes `s`.
+    fn of(&self, g: u32, s: Value) -> Option<f64> {
+        let run = &self.shares[self.starts[g as usize]..self.starts[g as usize + 1]];
+        let i = run.binary_search_by_key(&s, |&(v, _)| v).ok()?;
+        Some(run[i].1)
+    }
+}
+
+/// The anatomy KL on packed keys; `None` when the table doesn't pack.
+/// Bit-identical to [`anatomy_reference`].
+///
+/// `f*(q, s) = Σ_{rows r with qi = q} share(group(r), s) / n`. One sort of
+/// `(QI key, group)` pairs counts the rows per QI vector and group, and
+/// leaves each QI vector's groups in ascending id, the reference's
+/// order.
+pub(crate) fn anatomy_packed(
+    table: &Table,
+    partition: &Partition,
+    tables: &AnatomyTables,
+    exec: &Executor,
+) -> Option<f64> {
+    let (keys, points) = PointKeys::support(table)?;
+    let shares = Shares::new(partition, tables);
+    let mut qi_groups: Vec<(u64, u32, u32)> = Vec::with_capacity(table.len());
+    for (row, qi, _) in table.rows() {
+        qi_groups.push((keys.key(qi, 0)?, tables.group_of[row as usize], 1));
+    }
+    qi_groups.sort_unstable_by_key(|&(qi, g, _)| (qi, g));
+    qi_groups.dedup_by(|next, run| {
+        let same = (next.0, next.1) == (run.0, run.1);
+        run.2 += u32::from(same);
+        same
+    });
+
+    let (n, sa_mask) = (table.len() as f64, keys.sa_mask());
+    Some(exec.sum_chunked(&points, KL_CHUNK, |p| {
+        let f_p = p.count as f64 / n;
+        let (qi, s) = (p.key & !sa_mask, (p.key & sa_mask) as Value);
+        let at = qi_groups.partition_point(|e| e.0 < qi);
+        let mut fstar = 0.0;
+        for &(_, g, c) in qi_groups[at..].iter().take_while(|e| e.0 == qi) {
+            if let Some(share) = shares.of(g, s) {
+                fstar += c as f64 * share;
+            }
+        }
+        let fstar_p = fstar / n;
+        debug_assert!(fstar_p > 0.0, "f* must cover the support");
+        f_p * (f_p / fstar_p).ln()
+    }))
+}
+
+/// The anatomy KL on slice-keyed hash maps, for tables that don't pack.
+pub(crate) fn anatomy_reference(
+    table: &Table,
+    partition: &Partition,
+    tables: &AnatomyTables,
+    exec: &Executor,
+) -> f64 {
+    let n = table.len() as f64;
+    let shares = Shares::new(partition, tables);
+
+    // Aggregate rows by (QI vector, group) first, keyed on the table's
+    // own rows.
     let mut qi_group_count: HashMap<(&[Value], u32), u32> = HashMap::with_capacity(table.len());
     for (row, qi, _) in table.rows() {
         *qi_group_count
@@ -181,15 +294,13 @@ pub fn kl_divergence_anatomy_tables_with(
 
     let points = support_points(table);
     let by_qi = &by_qi;
-    let (shares, starts) = (&shares, &starts);
     exec.sum_chunked(&points, KL_CHUNK, |&(row, count)| {
         let f_p = count as f64 / n;
         let s = table.sa_value(row);
         let mut fstar = 0.0;
         for &(g, c) in &by_qi[table.qi_row(row)] {
-            let run = &shares[starts[g as usize]..starts[g as usize + 1]];
-            if let Ok(i) = run.binary_search_by_key(&s, |&(v, _)| v) {
-                fstar += c as f64 * run[i].1;
+            if let Some(share) = shares.of(g, s) {
+                fstar += c as f64 * share;
             }
         }
         let fstar_p = fstar / n;

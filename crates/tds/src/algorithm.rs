@@ -188,15 +188,19 @@ pub fn tds_anonymize(table: &Table, config: &TdsConfig) -> Result<TdsOutcome, Td
             }
 
             // Bucket the stats by candidate node: a group's candidate is
-            // the cut node over its rows' attr-a values.
+            // the cut node over its rows' attr-a values. `stats` iterates
+            // in hash order, so sort each node's groups: the information
+            // gain below is summed in ascending group id, the same in
+            // every process.
             let mut groups_of_node: HashMap<usize, Vec<u32>> = HashMap::new();
             for &(g, _) in stats.keys() {
                 let first_row = groups[g as usize][0];
                 let node = cut.node_of(a, table.qi_value(first_row, a));
-                let entry = groups_of_node.entry(node).or_default();
-                if !entry.contains(&g) {
-                    entry.push(g);
-                }
+                groups_of_node.entry(node).or_default().push(g);
+            }
+            for gs in groups_of_node.values_mut() {
+                gs.sort_unstable();
+                gs.dedup();
             }
 
             for (&node, gs) in &groups_of_node {
