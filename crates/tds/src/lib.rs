@@ -17,6 +17,17 @@
 //! margin (here: the minimum over groups of `⌊|G| / h(G)⌋`, the largest
 //! feasible `l`).
 //!
+//! The loop keeps the bookkeeping of the TDS paper's TIPS structure. A
+//! group's split contribution on an attribute (its information-gain term,
+//! its smallest child margin and its cut node) depends only on the group's
+//! rows and its cut node there, and both change only when a specialization
+//! splits that group. So each group is counted once per attribute, into
+//! one dense `children × m` buffer, when it is created; a round scores
+//! every candidate from the cached contributions, and applying the winner
+//! recounts only the groups it split. The first round costs O(n·d); each
+//! later round costs O(rows in the groups it splits × d), plus
+//! O(groups × d) to score.
+//!
 //! The output is a [`Recoding`](ldiv_metrics::Recoding) (usable with
 //! `ldiv_metrics::kl_divergence_recoded`) plus the induced l-diverse
 //! partition.

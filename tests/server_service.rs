@@ -191,3 +191,24 @@ fn end_to_end_anonymize_all_mechanisms_with_cache_hits() {
 
     server.shutdown();
 }
+
+/// TDS with a fanout above 255 on a QI of 300 labels: the root splits
+/// into more children than a byte can number, and the request succeeds.
+#[test]
+fn tds_splits_a_node_wider_than_255_children() {
+    let mut csv = String::from("q,s\n");
+    for i in 0..1_200 {
+        let (v, k) = (i % 300, i / 300);
+        csv.push_str(&format!("v{v:03},s{}\n", (v + k) % 7));
+    }
+    let server = Server::bind("127.0.0.1:0", standard_registry(), ServerConfig::default()).unwrap();
+    let (status, body) = http(
+        server.addr(),
+        "POST",
+        "/anonymize?algo=tds&l=2&fanout=300",
+        csv.as_bytes(),
+    );
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"mechanism\":\"tds\""), "{body}");
+    server.shutdown();
+}
