@@ -516,17 +516,11 @@ pub fn ablation_residue(cfg: &HarnessConfig) -> Report {
             let tp = ldiv_core::anonymize(t, l, &ldiv_core::SingleGroupResidue).expect("feasible");
             let hil = ldiv_core::anonymize(t, l, &ldiv_hilbert::HilbertResidue).expect("feasible");
             let arb = ldiv_core::anonymize(t, l, &ArbitraryOrderResidue).expect("feasible");
-            // Naive consecutive grouping: chunk curve-sorted rows into
-            // blocks of l; count ineligible blocks.
+            // Naive consecutive grouping: chunk the rows, in the order
+            // the curve visits them, into blocks of l; count ineligible
+            // blocks.
             let rows: Vec<RowId> = (0..t.len() as RowId).collect();
-            let curve_sorted = {
-                let p = ldiv_hilbert::hilbert_partition(t, &rows, 1);
-                // l = 1 ⇒ singleton-friendly partition in curve-ish order;
-                // flatten to get an ordering.
-                let mut flat: Vec<RowId> = p.groups().iter().flatten().copied().collect();
-                flat.sort_unstable_by_key(|&r| r); // stable fallback
-                flat
-            };
+            let curve_sorted = ldiv_hilbert::curve_order(t, &rows);
             let blocks = curve_sorted.chunks(l as usize);
             let mut invalid = 0usize;
             let mut total = 0usize;

@@ -72,10 +72,10 @@ fig3_occ 7,54902.0000,56000.0000,54902.0000
 
 const ABLATION: &str = "\
 ablation_residue dataset,l,TP,TP+ (hilbert),TP+ (arbitrary),naive-consec invalid %
-ablation_residue SAL,2,6728,5244,5318,3.9
-ablation_residue SAL,6,21340,21106,21166,47.5
-ablation_residue OCC,2,6732,5286,5332,3.4
-ablation_residue OCC,6,21228,21054,21006,42.5
+ablation_residue SAL,2,6728,5244,5318,4.0
+ablation_residue SAL,6,21340,21106,21166,47.7
+ablation_residue OCC,2,6732,5286,5332,3.7
+ablation_residue OCC,6,21228,21054,21006,44.5
 ";
 
 const MULTIDIM: &str = "\

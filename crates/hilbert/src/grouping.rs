@@ -210,6 +210,24 @@ fn take_nearest(set: &mut BTreeSet<(u128, RowId)>, target: u128) -> (u128, RowId
     chosen
 }
 
+/// The given rows in the order the curve visits them: sorted on
+/// `(curve index, row)`.
+pub fn curve_order(table: &Table, rows: &[RowId]) -> Vec<RowId> {
+    let curve = curve_for(table);
+    let mut axes = vec![0u32; table.dimensionality()];
+    let mut keyed: Vec<(u128, RowId)> = rows
+        .iter()
+        .map(|&r| {
+            for (a, &v) in axes.iter_mut().zip(table.qi_row(r)) {
+                *a = v as u32;
+            }
+            (curve.index_of(&axes), r)
+        })
+        .collect();
+    keyed.sort_unstable();
+    keyed.into_iter().map(|(_, r)| r).collect()
+}
+
 fn curve_for(table: &Table) -> HilbertCurve {
     let domains: Vec<u32> = table
         .schema()

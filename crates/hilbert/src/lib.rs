@@ -33,5 +33,5 @@ mod grouping;
 mod mechanism;
 
 pub use curve::HilbertCurve;
-pub use grouping::{hilbert_partition, hilbert_partition_with, HilbertResidue};
+pub use grouping::{curve_order, hilbert_partition, hilbert_partition_with, HilbertResidue};
 pub use mechanism::{tp_plus_mechanism, HilbertMechanism, TpPlusMechanism};
