@@ -10,7 +10,7 @@
 use crate::error::CoreError;
 use crate::tp::{tuple_minimize, TpOutcome};
 use ldiv_exec::Executor;
-use ldiv_microdata::{Partition, RowId, SaHistogram, SuppressedTable, Table};
+use ldiv_microdata::{Partition, RowId, SuppressedTable, Table};
 
 /// Strategy for splitting the residue set into smaller l-eligible groups.
 pub trait ResiduePartitioner {
@@ -137,20 +137,40 @@ pub fn anonymize_with<P: ResiduePartitioner>(
 }
 
 /// Validates a residue partition: exact cover of the residue rows and
-/// l-eligibility of every group.
+/// l-eligibility of every group. Row ids outside the table fail.
 fn residue_partition_ok(table: &Table, residue: &[RowId], sub: &Partition, l: u32) -> bool {
+    const OUTSIDE: u8 = 0;
+    const UNSEEN: u8 = 1;
+    const SEEN: u8 = 2;
     if sub.covered_rows() != residue.len() {
         return false;
     }
-    let allowed: std::collections::HashSet<RowId> = residue.iter().copied().collect();
-    let mut seen = std::collections::HashSet::with_capacity(residue.len());
-    for g in sub.groups() {
-        for &r in g {
-            if !allowed.contains(&r) || !seen.insert(r) {
-                return false;
-            }
+    // One byte per table row: is it in the residue, and has a group
+    // claimed it yet.
+    let mut state = vec![OUTSIDE; table.len()];
+    for &r in residue {
+        match state.get_mut(r as usize) {
+            Some(s) => *s = UNSEEN,
+            None => return false,
         }
-        if !SaHistogram::of_rows(table, g).is_l_eligible(l) {
+    }
+    let mut sa_counts = vec![0u32; table.schema().sa_domain_size() as usize];
+    for g in sub.groups() {
+        let mut pillar = 0;
+        for &r in g {
+            match state.get_mut(r as usize) {
+                Some(s) if *s == UNSEEN => *s = SEEN,
+                _ => return false,
+            }
+            let c = &mut sa_counts[table.sa_value(r) as usize];
+            *c += 1;
+            pillar = pillar.max(*c);
+        }
+        for &r in g {
+            sa_counts[table.sa_value(r) as usize] = 0;
+        }
+        // Definition 2: l · h(G) ≤ |G|.
+        if u64::from(l) * u64::from(pillar) > g.len() as u64 {
             return false;
         }
     }

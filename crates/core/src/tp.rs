@@ -153,17 +153,12 @@ pub fn tuple_minimize_groups(
 
     let sa_domain = table.schema().sa_domain_size();
     let mut residue = ResidueSet::new(sa_domain);
-    let mut groups: Vec<Group> = initial_groups
-        .iter()
-        .map(|rows| Group::from_rows(rows.iter().map(|&r| (r, table.sa_value(r)))))
-        .collect();
-    let initial_group_count = groups.len();
     let mut stats = TpStats {
         l,
         termination_phase: Phase::One,
         phase_removed: [0; 3],
         phase3_rounds: 0,
-        initial_groups: initial_group_count,
+        initial_groups: initial_groups.len(),
         surviving_groups: 0,
         residue_pillar_after_p1: 0,
         residue_pillar_after_p2: 0,
@@ -171,7 +166,8 @@ pub fn tuple_minimize_groups(
     };
 
     // ---- Phase one (§5.2) ------------------------------------------------
-    stats.phase_removed[0] = phase_one(&mut groups, &mut residue, l);
+    let (mut groups, moved) = phase_one(table, &initial_groups, &mut residue, l);
+    stats.phase_removed[0] = moved;
     stats.residue_pillar_after_p1 = residue.pillar_height() as usize;
 
     if residue.is_l_eligible(l) {
@@ -220,14 +216,34 @@ fn finish(table: &Table, groups: Vec<Group>, residue: ResidueSet, mut stats: TpS
     }
 }
 
-/// Phase one: drain each group's pillars until it is l-eligible.
-/// Returns the number of tuples moved to the residue.
-fn phase_one(groups: &mut [Group], residue: &mut ResidueSet, l: u32) -> usize {
+/// Phase one: builds each QI-group and drains its pillars until it is
+/// l-eligible, one group at a time in input order. Returns the groups
+/// left non-empty and the number of tuples moved to the residue.
+///
+/// A group smaller than `l` can only become l-eligible by emptying out
+/// entirely (`h ≥ 1` forces `|Q| ≥ l`), so it drains at once; a one-row
+/// group under `l ≥ 2` sends its row straight to the residue without
+/// building a [`Group`]. Emptied groups are dropped: they are dead, so
+/// phases two and three never act on them, and the candidate order of
+/// phase two depends only on the order of insertion.
+fn phase_one(
+    table: &Table,
+    initial_groups: &[Vec<RowId>],
+    residue: &mut ResidueSet,
+    l: u32,
+) -> (Vec<Group>, usize) {
+    let mut groups = Vec::new();
     let mut moved = 0;
-    for g in groups.iter_mut() {
+    for rows in initial_groups {
+        if let [row] = rows[..] {
+            if l >= 2 {
+                residue.push(row, table.sa_value(row));
+                moved += 1;
+                continue;
+            }
+        }
+        let mut g = Group::from_rows(rows.iter().map(|&r| (r, table.sa_value(r))));
         if (g.size() as u64) < l as u64 {
-            // A non-empty group smaller than l can only become l-eligible by
-            // emptying out entirely (h ≥ 1 forces |Q| ≥ l) — shortcut.
             moved += g.drain_into(residue);
             continue;
         }
@@ -242,8 +258,11 @@ fn phase_one(groups: &mut [Group], residue: &mut ResidueSet, l: u32) -> usize {
             residue.push(row, p);
             moved += 1;
         }
+        if !g.is_empty() {
+            groups.push(g);
+        }
     }
-    moved
+    (groups, moved)
 }
 
 /// Phase two: grow `|R|` without growing `h(R)`.

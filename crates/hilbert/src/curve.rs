@@ -26,14 +26,6 @@ impl HilbertCurve {
         HilbertCurve { dims, bits }
     }
 
-    /// A curve just large enough for axes with the given domain sizes
-    /// (`bits = ⌈log2(max domain)⌉`, at least 1).
-    pub fn for_domains(domains: &[u32]) -> Self {
-        let max = domains.iter().copied().max().unwrap_or(2).max(2);
-        let bits = 32 - (max - 1).leading_zeros();
-        HilbertCurve::new(domains.len().max(1), bits.max(1))
-    }
-
     /// Number of dimensions.
     pub fn dims(&self) -> usize {
         self.dims
@@ -54,17 +46,23 @@ impl HilbertCurve {
     /// Maps grid coordinates to their Hilbert index. Each coordinate must
     /// be below `2^bits`.
     pub fn index_of(&self, axes: &[u32]) -> u128 {
+        self.index_into(&mut axes.to_vec())
+    }
+
+    /// [`Self::index_of`] without an allocation: transforms `axes` in
+    /// place (leaving it in Skilling's transposed form) and returns the
+    /// index.
+    pub fn index_into(&self, axes: &mut [u32]) -> u128 {
         assert_eq!(axes.len(), self.dims, "coordinate arity mismatch");
-        for &a in axes {
+        for &a in axes.iter() {
             debug_assert!(a < (1u64 << self.bits) as u32, "coordinate out of range");
         }
         if self.dims == 1 {
             // Degenerate curve: the identity ordering.
             return axes[0] as u128;
         }
-        let mut x: Vec<u32> = axes.to_vec();
-        self.axes_to_transpose(&mut x);
-        self.interleave(&x)
+        self.axes_to_transpose(axes);
+        self.interleave(axes)
     }
 
     /// Maps a Hilbert index back to grid coordinates — the inverse of
@@ -264,15 +262,6 @@ mod tests {
             assert_eq!(c.index_of(&[v]), v as u128);
             assert_eq!(c.point_of(v as u128), vec![v]);
         }
-    }
-
-    #[test]
-    fn for_domains_sizes_bits() {
-        let c = HilbertCurve::for_domains(&[79, 2, 9, 6, 56, 17, 9]);
-        assert_eq!(c.dims(), 7);
-        assert_eq!(c.bits(), 7); // 79 needs 7 bits
-        let tiny = HilbertCurve::for_domains(&[2, 2]);
-        assert_eq!(tiny.bits(), 1);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::curve::HilbertCurve;
 use ldiv_core::ResiduePartitioner;
 use ldiv_exec::Executor;
 use ldiv_microdata::{Partition, RowId, SuppressedTable, Table, Value};
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
 
 /// Rows per parallel indexing chunk. Fixed (never derived from the
 /// thread count) so the work decomposition is budget-independent.
@@ -53,6 +53,152 @@ impl OpenGroup {
     }
 }
 
+/// Where a table's QI vectors land on one Hilbert curve: every axis
+/// gets `⌈log2 max domain⌉` bits.
+struct TableCurve {
+    curve: HilbertCurve,
+}
+
+impl TableCurve {
+    fn of(table: &Table) -> Self {
+        let max = table
+            .schema()
+            .qi_attributes()
+            .iter()
+            .map(|a| a.domain_size())
+            .max()
+            .unwrap_or(2)
+            .max(2);
+        let bits = 32 - (max - 1).leading_zeros();
+        TableCurve {
+            curve: HilbertCurve::new(table.dimensionality().max(1), bits),
+        }
+    }
+
+    /// The curve index of every row, in `rows` order. The indexing fans
+    /// out over fixed-size chunks; each index is a pure function of its
+    /// row.
+    fn indices(&self, table: &Table, rows: &[RowId], exec: &Executor) -> Vec<u128> {
+        exec.map_chunks(rows, INDEX_CHUNK, |chunk| {
+            let mut axes = vec![0u32; self.curve.dims()];
+            chunk
+                .iter()
+                .map(|&r| {
+                    for (a, &v) in axes.iter_mut().zip(table.qi_row(r)) {
+                        *a = u32::from(v);
+                    }
+                    self.curve.index_into(&mut axes)
+                })
+                .collect::<Vec<u128>>()
+        })
+        .concat()
+    }
+}
+
+/// The first slot at or after `i`, in the direction the links point,
+/// that is not taken. Halves the path it walks.
+fn untaken(links: &mut [u32], mut i: u32) -> u32 {
+    loop {
+        let j = links[i as usize];
+        if j == i {
+            return i;
+        }
+        let k = links[j as usize];
+        links[i as usize] = k;
+        i = k;
+    }
+}
+
+/// Every SA value's rows in one flat array, each bucket sorted on
+/// `(curve index, row)`, with "next untaken" and "previous untaken"
+/// links that skip the rows groups have already taken.
+struct Buckets {
+    /// `(curve index, row)` per slot. Bucket `v` fills
+    /// `start[v]..end[v]`; slot `start[v] − 1` and slot `end[v]` are
+    /// sentinels that are never taken.
+    slots: Vec<(u128, RowId)>,
+    start: Vec<u32>,
+    end: Vec<u32>,
+    /// Untaken rows per bucket.
+    len: Vec<u32>,
+    /// `next[i] == i` for an untaken slot or a sentinel; for a taken
+    /// slot it points further right, past taken slots only. `prev`
+    /// mirrors it leftwards.
+    next: Vec<u32>,
+    prev: Vec<u32>,
+}
+
+impl Buckets {
+    fn new(table: &Table, rows: &[RowId], indices: &[u128]) -> Self {
+        let m = table.schema().sa_domain_size() as usize;
+        let mut len = vec![0u32; m];
+        for &r in rows {
+            len[table.sa_value(r) as usize] += 1;
+        }
+        let slot_count = u32::try_from(rows.len() + m + 1).expect("row count fits in u32");
+        let (mut start, mut end) = (Vec::with_capacity(m), Vec::with_capacity(m));
+        let mut at = 1;
+        for &c in &len {
+            start.push(at);
+            end.push(at + c);
+            at += c + 1;
+        }
+        let mut slots = vec![(0, 0); slot_count as usize];
+        let mut fill = start.clone();
+        for (&r, &h) in rows.iter().zip(indices) {
+            let f = &mut fill[table.sa_value(r) as usize];
+            slots[*f as usize] = (h, r);
+            *f += 1;
+        }
+        for (&s, &e) in start.iter().zip(&end) {
+            slots[s as usize..e as usize].sort_unstable();
+        }
+        let next: Vec<u32> = (0..slot_count).collect();
+        Buckets {
+            slots,
+            start,
+            end,
+            len,
+            prev: next.clone(),
+            next,
+        }
+    }
+
+    /// Bucket `v`'s first untaken slot (its sentinel when empty).
+    fn first(&mut self, v: usize) -> u32 {
+        untaken(&mut self.next, self.start[v])
+    }
+
+    fn take(&mut self, v: usize, slot: u32) -> (u128, RowId) {
+        self.next[slot as usize] = slot + 1;
+        self.prev[slot as usize] = slot - 1;
+        self.len[v] -= 1;
+        self.slots[slot as usize]
+    }
+
+    /// Takes bucket `v`'s row nearest `target` on the curve: the first
+    /// untaken row at or after it or the last one before it, whichever
+    /// is closer; a tie goes to the one before.
+    fn take_nearest(&mut self, v: usize, target: u128) -> (u128, RowId) {
+        let (s, e) = (self.start[v], self.end[v]);
+        let at =
+            s + self.slots[s as usize..e as usize].partition_point(|&(h, _)| h < target) as u32;
+        let succ = untaken(&mut self.next, at);
+        let pred = untaken(&mut self.prev, at - 1);
+        let slot = if pred < s {
+            succ
+        } else if succ == e
+            || target - self.slots[pred as usize].0 <= self.slots[succ as usize].0 - target
+        {
+            pred
+        } else {
+            succ
+        };
+        debug_assert!(slot >= s && slot < e, "take_nearest on an empty bucket");
+        self.take(v, slot)
+    }
+}
+
 /// Partitions the given rows of a table into l-eligible groups that are
 /// compact along the Hilbert curve over the QI space.
 ///
@@ -68,87 +214,92 @@ pub fn hilbert_partition(table: &Table, rows: &[RowId], l: u32) -> Partition {
 ///
 /// The expensive part — mapping every row's QI vector to its Hilbert
 /// index — fans out over fixed-size chunks; the index is a pure function
-/// of the row, and the ordered buckets erase arrival order, so the
+/// of the row, and the sorted buckets erase arrival order, so the
 /// grouping that follows is byte-identical for every budget. The
 /// draining itself is inherently sequential (each group depends on what
 /// earlier groups consumed).
+///
+/// Each SA value's rows sit in one flat array sorted on `(curve index,
+/// row)`, so a take is a binary search plus a walk of path-halved
+/// "next/previous untaken" links: `O(log n)` amortized. The non-empty
+/// SA values stay sorted by `(rows left desc, SA asc)` across groups; a
+/// group takes one row from each of the first `l`, so only those `l`
+/// entries move right. With `n` rows that is `O(n log n)` to index and
+/// sort, plus `O(l)` per group and the moves, instead of re-sorting all
+/// `m` buckets per group.
 pub fn hilbert_partition_with(table: &Table, rows: &[RowId], l: u32, exec: &Executor) -> Partition {
     assert!(l >= 1, "l must be positive");
     if rows.is_empty() {
         return Partition::default();
     }
-    let curve = curve_for(table);
-    let m = table.schema().sa_domain_size() as usize;
+    let indices = TableCurve::of(table).indices(table, rows, exec);
+    let mut buckets = Buckets::new(table, rows, &indices);
+    let l = l as usize;
 
-    // Bucket rows by SA value, ordered by Hilbert index. Index
-    // computation is the hot loop; it parallelizes embarrassingly.
-    let indexed: Vec<Vec<(u128, RowId, Value)>> = exec.map_chunks(rows, INDEX_CHUNK, |chunk| {
-        let mut axes = vec![0u32; table.dimensionality()];
-        chunk
-            .iter()
-            .map(|&r| {
-                for (a, &v) in axes.iter_mut().zip(table.qi_row(r)) {
-                    *a = v as u32;
-                }
-                (curve.index_of(&axes), r, table.sa_value(r))
-            })
-            .collect()
-    });
-    let mut buckets: Vec<BTreeSet<(u128, RowId)>> = vec![BTreeSet::new(); m];
-    for part in indexed {
-        for (h, r, sa) in part {
-            buckets[sa as usize].insert((h, r));
-        }
-    }
-
-    let mut groups: Vec<OpenGroup> = Vec::with_capacity(rows.len() / l as usize + 1);
+    let mut groups: Vec<OpenGroup> = Vec::with_capacity(rows.len() / l + 1);
 
     // Frequency-balanced draining: while at least l buckets are non-empty,
-    // form one group from the l fullest buckets.
-    loop {
-        let mut order: Vec<usize> = (0..m).filter(|&v| !buckets[v].is_empty()).collect();
-        if (order.len() as u32) < l {
-            break;
-        }
-        // l fullest buckets; ties by SA id for determinism.
-        order.sort_by_key(|&v| (std::cmp::Reverse(buckets[v].len()), v));
-        order.truncate(l as usize);
-
+    // form one group from the l fullest (ties by SA id), which lead
+    // `order`.
+    let mut order: Vec<usize> = (0..buckets.len.len())
+        .filter(|&v| buckets.len[v] > 0)
+        .collect();
+    order.sort_unstable_by_key(|&v| (Reverse(buckets.len[v]), v));
+    while order.len() >= l {
         // Seed: the earliest remaining tuple (on the curve) in the chosen
         // buckets; then take each bucket's tuple nearest the seed.
-        let seed = order
+        let seed = order[..l]
             .iter()
-            .map(|&v| *buckets[v].first().expect("chosen buckets non-empty"))
+            .map(|&v| {
+                let first = buckets.first(v);
+                buckets.slots[first as usize]
+            })
             .min()
             .expect("l ≥ 1 buckets chosen");
         let mut group = OpenGroup {
-            rows: Vec::with_capacity(l as usize),
-            sa_counts: Vec::with_capacity(l as usize),
+            rows: Vec::with_capacity(l),
+            sa_counts: Vec::with_capacity(l),
             center: seed.0,
         };
-        for &v in &order {
-            let (h, r) = take_nearest(&mut buckets[v], seed.0);
+        for &v in &order[..l] {
+            let (h, r) = buckets.take_nearest(v, seed.0);
             group.add(r, v as Value);
             group.center = group.center / 2 + h / 2; // running midpoint
         }
         groups.push(group);
+
+        // Each chosen bucket lost one row. They keep their order among
+        // themselves, so move each, last first, right past the buckets
+        // that now outrank it; emptied buckets sink to the end.
+        let len = &buckets.len;
+        for i in (0..l).rev() {
+            let v = order[i];
+            let mut j = i;
+            while let Some(&w) = order.get(j + 1) {
+                if (Reverse(len[w]), w) > (Reverse(len[v]), v) {
+                    break;
+                }
+                order[j] = w;
+                j += 1;
+            }
+            order[j] = v;
+        }
+        while order.last().is_some_and(|&v| len[v] == 0) {
+            order.pop();
+        }
     }
 
     // Leftover assignment: fewer than l non-empty buckets remain. Attach
     // each leftover tuple to the nearest group that stays l-eligible,
     // fullest buckets first.
     let mut unplaced: Vec<(u128, RowId, Value)> = Vec::new();
-    let mut leftovers: Vec<(usize, usize)> = (0..m)
-        .filter(|&v| !buckets[v].is_empty())
-        .map(|v| (buckets[v].len(), v))
-        .collect();
-    leftovers.sort_unstable_by_key(|&(len, v)| (std::cmp::Reverse(len), v));
-    for (_, v) in leftovers {
-        while let Some(&(h, r)) = buckets[v].first() {
-            buckets[v].remove(&(h, r));
+    for v in order {
+        while buckets.len[v] > 0 {
+            let first = buckets.first(v);
+            let (h, r) = buckets.take(v, first);
             let best = groups
                 .iter_mut()
-                .filter(|g| g.accepts(v as Value, l))
+                .filter(|g| g.accepts(v as Value, l as u32))
                 .min_by_key(|g| {
                     let c = g.center;
                     c.abs_diff(h)
@@ -189,53 +340,13 @@ pub fn hilbert_partition_with(table: &Table, rows: &[RowId], l: u32, exec: &Exec
     Partition::new_unchecked(out)
 }
 
-/// Removes and returns the element of `set` nearest to `target`
-/// (predecessor/successor probe on the ordered set).
-fn take_nearest(set: &mut BTreeSet<(u128, RowId)>, target: u128) -> (u128, RowId) {
-    let succ = set.range((target, 0)..).next().copied();
-    let pred = set.range(..(target, 0)).next_back().copied();
-    let chosen = match (pred, succ) {
-        (Some(p), Some(s)) => {
-            if target - p.0 <= s.0 - target {
-                p
-            } else {
-                s
-            }
-        }
-        (Some(p), None) => p,
-        (None, Some(s)) => s,
-        (None, None) => unreachable!("take_nearest on empty set"),
-    };
-    set.remove(&chosen);
-    chosen
-}
-
 /// The given rows in the order the curve visits them: sorted on
 /// `(curve index, row)`.
 pub fn curve_order(table: &Table, rows: &[RowId]) -> Vec<RowId> {
-    let curve = curve_for(table);
-    let mut axes = vec![0u32; table.dimensionality()];
-    let mut keyed: Vec<(u128, RowId)> = rows
-        .iter()
-        .map(|&r| {
-            for (a, &v) in axes.iter_mut().zip(table.qi_row(r)) {
-                *a = v as u32;
-            }
-            (curve.index_of(&axes), r)
-        })
-        .collect();
+    let indices = TableCurve::of(table).indices(table, rows, &Executor::sequential());
+    let mut keyed: Vec<(u128, RowId)> = indices.into_iter().zip(rows.iter().copied()).collect();
     keyed.sort_unstable();
     keyed.into_iter().map(|(_, r)| r).collect()
-}
-
-fn curve_for(table: &Table) -> HilbertCurve {
-    let domains: Vec<u32> = table
-        .schema()
-        .qi_attributes()
-        .iter()
-        .map(|a| a.domain_size())
-        .collect();
-    HilbertCurve::for_domains(&domains)
 }
 
 /// Shared implementation of the full-table baseline (also the

@@ -14,7 +14,7 @@ use crate::boxes::BoxTable;
 use ldiv_exec::Executor;
 #[cfg(test)]
 use ldiv_microdata::SuppressedTable;
-use ldiv_microdata::{Partition, RowId, SaHistogram, Table};
+use ldiv_microdata::{Partition, RowId, Table, Value};
 
 /// Below this many rows a subtree is not worth forking: the split work is
 /// `O(rows · d + rows log rows)`, so small subtrees cost less than a
@@ -39,85 +39,214 @@ pub fn mondrian_partition(table: &Table, l: u32) -> Partition {
 /// to amortize the hand-off; `join` returns results in argument order,
 /// so the concatenated group list is byte-identical to the sequential
 /// run for every budget.
+///
+/// Each node works in place on its slice of one row array:
+/// - one pass over its rows finds every attribute's `(lo, hi)`;
+/// - the median (ties low) and the step-down threshold come from counts
+///   over `[lo, hi]` when `hi − lo` is smaller than the node, and from
+///   sorting the node's values otherwise;
+/// - a split attempt partitions the slice around the threshold and
+///   counts the low half's SA values on the way; the high half's counts
+///   are the node's minus the low half's, and the root's counts are the
+///   only ones taken from scratch;
+/// - a node under `2l` rows is a leaf without any attempt: both halves
+///   of an accepted split are non-empty and l-eligible, so each holds at
+///   least `l` rows.
+///
+/// A leaf publishes its rows ascending, as a stable split of `0..n`
+/// would leave them.
 pub fn mondrian_partition_with(table: &Table, l: u32, exec: &Executor) -> Partition {
     assert!(l >= 1, "l must be positive");
-    let all: Vec<RowId> = (0..table.len() as RowId).collect();
-    if all.is_empty() {
+    let mut rows: Vec<RowId> = (0..table.len() as RowId).collect();
+    if rows.is_empty() {
         return Partition::default();
     }
-    Partition::new_unchecked(split_recursive(table, l, all, exec))
+    let mut sa_counts = vec![0u32; table.schema().sa_domain_size() as usize];
+    for &v in table.sa_column() {
+        sa_counts[v as usize] += 1;
+    }
+    let mut groups = Vec::new();
+    let run = Run { table, l, exec };
+    run.split(
+        &mut rows,
+        &mut sa_counts,
+        &mut Scratch::default(),
+        &mut groups,
+    );
+    Partition::new_unchecked(groups)
 }
 
-/// Splits `rows` recursively, returning the leaf groups of this subtree
-/// in deterministic (low-before-high, depth-first) order.
-fn split_recursive(table: &Table, l: u32, rows: Vec<RowId>, exec: &Executor) -> Vec<Vec<RowId>> {
-    // The sequential recursion between forks bypasses the executor's
-    // loops, so it hosts its own cancellation point: one check per
-    // split keeps a deadline-bounded run from descending a deep tree
-    // long after its budget elapsed.
-    exec.checkpoint();
-    let d = table.dimensionality();
+/// What every node of one run shares.
+struct Run<'a> {
+    table: &'a Table,
+    l: u32,
+    exec: &'a Executor,
+}
 
-    // Attributes ordered by normalized span of present values, widest
-    // first (the Mondrian "choose dimension" heuristic).
-    let mut spans: Vec<(f64, usize)> = (0..d)
-        .map(|a| {
-            let mut lo = u16::MAX;
-            let mut hi = 0u16;
-            for &r in &rows {
-                let v = table.qi_value(r, a);
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-            let domain = table.schema().qi_attribute(a).domain_size() as f64;
-            (f64::from(hi.saturating_sub(lo)) / domain, a)
-        })
-        .collect();
-    spans.sort_by(|x, y| y.0.total_cmp(&x.0).then(x.1.cmp(&y.1)));
+/// Buffers reused by every node one thread visits.
+#[derive(Default)]
+struct Scratch {
+    /// Rows per value of one attribute over the node's `[lo, hi]`.
+    value_counts: Vec<u32>,
+    /// One attribute's values over the node, for the sorted median.
+    values: Vec<Value>,
+}
 
-    for &(span, a) in &spans {
-        if span == 0.0 {
-            break; // no attribute with at least two present values remains
+impl Run<'_> {
+    /// Splits `rows`, whose SA counts are `sa_counts`, recursively and
+    /// appends the leaf groups of this subtree to `out` in
+    /// low-before-high, depth-first order. Reorders `rows` and
+    /// overwrites `sa_counts`.
+    fn split(
+        &self,
+        rows: &mut [RowId],
+        sa_counts: &mut [u32],
+        scratch: &mut Scratch,
+        out: &mut Vec<Vec<RowId>>,
+    ) {
+        // The sequential recursion between forks bypasses the executor's
+        // loops, so it hosts its own cancellation point: one check per
+        // node keeps a deadline-bounded run from descending a deep tree
+        // long after its budget elapsed.
+        self.exec.checkpoint();
+        let n = rows.len();
+        if n < 2 * self.l as usize {
+            return leaf(rows, out);
         }
-        // Median split on attribute a: low half = values ≤ median of the
-        // multiset (ties low).
-        let mut values: Vec<u16> = rows.iter().map(|&r| table.qi_value(r, a)).collect();
-        values.sort_unstable();
-        let median = values[values.len() / 2];
-        // Ensure both sides are non-empty: if the median equals the max,
-        // step the threshold down to the largest value strictly below it.
-        let threshold = if median == *values.last().expect("non-empty") {
-            match values.iter().rev().find(|&&v| v < median) {
-                Some(&v) => v,
-                None => continue, // all values equal (span said otherwise; defensive)
+        let table = self.table;
+        let d = table.dimensionality();
+
+        let (mut lo, mut hi) = (vec![Value::MAX; d], vec![0; d]);
+        for &r in rows.iter() {
+            for (a, &v) in table.qi_row(r).iter().enumerate() {
+                lo[a] = lo[a].min(v);
+                hi[a] = hi[a].max(v);
             }
-        } else {
-            median
-        };
-        let (low, high): (Vec<RowId>, Vec<RowId>) = rows
-            .iter()
-            .partition(|&&r| table.qi_value(r, a) <= threshold);
-        if low.is_empty() || high.is_empty() {
-            continue;
         }
-        let low_ok = SaHistogram::of_rows(table, &low).is_l_eligible(l);
-        let high_ok = SaHistogram::of_rows(table, &high).is_l_eligible(l);
-        if low_ok && high_ok {
-            let (mut lo, hi) = if exec.is_parallel() && low.len().min(high.len()) >= FORK_MIN_ROWS {
-                exec.join(
-                    || split_recursive(table, l, low, exec),
-                    || split_recursive(table, l, high, exec),
-                )
+        // Attributes ordered by normalized span of present values, widest
+        // first (the Mondrian "choose dimension" heuristic).
+        let mut spans: Vec<(f64, usize)> = (0..d)
+            .map(|a| {
+                let domain = table.schema().qi_attribute(a).domain_size() as f64;
+                (f64::from(hi[a] - lo[a]) / domain, a)
+            })
+            .collect();
+        spans.sort_by(|x, y| y.0.total_cmp(&x.0).then(x.1.cmp(&y.1)));
+
+        let l = u64::from(self.l);
+        let mut low_counts = vec![0u32; sa_counts.len()];
+        for &(span, a) in &spans {
+            if span == 0.0 {
+                break; // no attribute with at least two present values remains
+            }
+            let threshold = scratch.threshold(table, rows, a, lo[a], hi[a]);
+            // Low half = values ≤ threshold, moved to the front.
+            let mut k = 0;
+            for i in 0..n {
+                let r = rows[i];
+                if table.qi_value(r, a) <= threshold {
+                    low_counts[table.sa_value(r) as usize] += 1;
+                    rows.swap(i, k);
+                    k += 1;
+                }
+            }
+            let low_max = low_counts.iter().copied().max().unwrap_or(0);
+            let high_max = sa_counts
+                .iter()
+                .zip(&low_counts)
+                .map(|(&all, &low)| all - low)
+                .max()
+                .unwrap_or(0);
+            if l * u64::from(low_max) <= k as u64 && l * u64::from(high_max) <= (n - k) as u64 {
+                for (all, &low) in sa_counts.iter_mut().zip(&low_counts) {
+                    *all -= low;
+                }
+                let (low, high) = rows.split_at_mut(k);
+                if self.exec.is_parallel() && k.min(n - k) >= FORK_MIN_ROWS {
+                    let (_, high_groups) = self.exec.join(
+                        || self.split(low, &mut low_counts, scratch, out),
+                        || {
+                            let mut groups = Vec::new();
+                            self.split(high, sa_counts, &mut Scratch::default(), &mut groups);
+                            groups
+                        },
+                    );
+                    out.extend(high_groups);
+                } else {
+                    self.split(low, &mut low_counts, scratch, out);
+                    self.split(high, sa_counts, scratch, out);
+                }
+                return;
+            }
+            low_counts.fill(0);
+        }
+        leaf(rows, out);
+    }
+}
+
+impl Scratch {
+    /// The split threshold of attribute `a` over `rows`, whose values
+    /// span `[lo, hi]` with `lo < hi`: the median of the multiset (ties
+    /// low), stepped down to the largest value below it when the median
+    /// is `hi`, so both halves are non-empty.
+    fn threshold(
+        &mut self,
+        table: &Table,
+        rows: &[RowId],
+        a: usize,
+        lo: Value,
+        hi: Value,
+    ) -> Value {
+        let mid = rows.len() / 2;
+        let width = usize::from(hi - lo);
+        if width < rows.len() {
+            let counts = &mut self.value_counts;
+            counts.clear();
+            counts.resize(width + 1, 0);
+            for &r in rows {
+                counts[usize::from(table.qi_value(r, a) - lo)] += 1;
+            }
+            let mut below = 0;
+            let median = counts
+                .iter()
+                .position(|&c| {
+                    below += c as usize;
+                    below > mid
+                })
+                .expect("the counts sum to the node size");
+            let threshold = if median == width {
+                counts[..width]
+                    .iter()
+                    .rposition(|&c| c > 0)
+                    .expect("lo < hi is present")
             } else {
-                let lo = split_recursive(table, l, low, exec);
-                let hi = split_recursive(table, l, high, exec);
-                (lo, hi)
+                median
             };
-            lo.extend(hi);
-            return lo;
+            lo + threshold as Value
+        } else {
+            let values = &mut self.values;
+            values.clear();
+            values.extend(rows.iter().map(|&r| table.qi_value(r, a)));
+            values.sort_unstable();
+            let median = values[mid];
+            if median == hi {
+                *values
+                    .iter()
+                    .rev()
+                    .find(|&&v| v < median)
+                    .expect("lo < hi is present")
+            } else {
+                median
+            }
         }
     }
-    vec![rows]
+}
+
+/// Publishes `rows` as one group, ascending.
+fn leaf(rows: &[RowId], out: &mut Vec<Vec<RowId>>) {
+    let mut group = rows.to_vec();
+    group.sort_unstable();
+    out.push(group);
 }
 
 /// The full Mondrian run in every published form — partition, native
