@@ -53,10 +53,16 @@ impl OpenGroup {
     }
 }
 
-/// Where a table's QI vectors land on one Hilbert curve: every axis
-/// gets `⌈log2 max domain⌉` bits.
+/// Where a table's QI vectors land on one Hilbert curve.
+///
+/// Every axis gets `⌈log2 max domain⌉` bits, capped at `⌊128 / d⌋` so
+/// the index fits in a `u128`; a capped axis drops its low coordinate
+/// bits. A table with more than 128 QI attributes is indexed on its
+/// first 128, at one bit each.
 struct TableCurve {
     curve: HilbertCurve,
+    /// Low bits dropped from every coordinate.
+    shift: u32,
 }
 
 impl TableCurve {
@@ -69,9 +75,12 @@ impl TableCurve {
             .max()
             .unwrap_or(2)
             .max(2);
-        let bits = 32 - (max - 1).leading_zeros();
+        let need = 32 - (max - 1).leading_zeros();
+        let dims = table.dimensionality().clamp(1, 128);
+        let bits = need.min(128 / dims as u32);
         TableCurve {
-            curve: HilbertCurve::new(table.dimensionality().max(1), bits),
+            curve: HilbertCurve::new(dims, bits),
+            shift: need - bits,
         }
     }
 
@@ -85,7 +94,7 @@ impl TableCurve {
                 .iter()
                 .map(|&r| {
                     for (a, &v) in axes.iter_mut().zip(table.qi_row(r)) {
-                        *a = u32::from(v);
+                        *a = u32::from(v) >> self.shift;
                     }
                     self.curve.index_into(&mut axes)
                 })
@@ -402,7 +411,7 @@ impl ResiduePartitioner for HilbertResidue {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ldiv_datagen::{sal, AcsConfig};
     use ldiv_microdata::samples;
@@ -468,6 +477,41 @@ mod tests {
         assert!(!hybrid.fell_back);
         assert!(hybrid.star_count() <= plain.star_count());
         validate(&t, &hybrid.partition, 4);
+    }
+
+    /// A table of `d` QI attributes of `domain` labels each, with five
+    /// SA values in turn.
+    pub(crate) fn wide_table(d: usize, domain: u32, rows: u32) -> Table {
+        use ldiv_microdata::{Attribute, Schema, TableBuilder};
+        let qi = (0..d)
+            .map(|a| Attribute::new(format!("q{a}"), domain))
+            .collect();
+        let schema = Schema::new(qi, Attribute::new("s", 5)).unwrap();
+        let mut b = TableBuilder::new(schema);
+        for i in 0..rows {
+            let row: Vec<Value> = (0..d as u32)
+                .map(|a| ((i * (a + 7) + a * 13) % domain) as Value)
+                .collect();
+            b.push_row(&row, (i % 5) as Value).unwrap();
+        }
+        b.build()
+    }
+
+    #[test]
+    fn curve_bits_fit_in_128() {
+        let bits = |d: usize, domain: u32| {
+            let c = TableCurve::of(&wide_table(d, domain, 0));
+            (c.curve.dims(), c.curve.bits(), c.shift)
+        };
+        // Tables that fit keep ⌈log2 max domain⌉ bits per axis.
+        assert_eq!(bits(7, 79), (7, 7, 0));
+        assert_eq!(bits(2, 2), (2, 1, 0));
+        assert_eq!(bits(18, 100), (18, 7, 0));
+        // 20 × 7 bits do not: each axis keeps its top ⌊128/20⌋ = 6.
+        assert_eq!(bits(20, 100), (20, 6, 1));
+        // Past 128 attributes, the first 128 at one bit each.
+        assert_eq!(bits(130, 2), (128, 1, 0));
+        assert_eq!(bits(200, 100), (128, 1, 6));
     }
 
     #[test]

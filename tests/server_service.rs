@@ -212,3 +212,26 @@ fn tds_splits_a_node_wider_than_255_children() {
     assert!(body.contains("\"mechanism\":\"tds\""), "{body}");
     server.shutdown();
 }
+
+/// 20 QI columns of 100 labels need 7 curve bits each, 140 in all: the
+/// curve-based mechanisms keep each axis's top 6 bits and publish, as
+/// TP and Mondrian do.
+#[test]
+fn curve_mechanisms_publish_a_table_wider_than_128_curve_bits() {
+    let mut csv = (0..20).map(|a| format!("q{a},")).collect::<String>() + "s\n";
+    for i in 0..600 {
+        for a in 0..20 {
+            csv.push_str(&format!("v{:02},", (i * (a + 7) + a * 13) % 100));
+        }
+        csv.push_str(&format!("s{}\n", i % 5));
+    }
+    let server = Server::bind("127.0.0.1:0", standard_registry(), ServerConfig::default()).unwrap();
+    for algo in ["tp%2B", "hilbert", "tp", "mondrian"] {
+        let target = format!("/anonymize?algo={algo}&l=2");
+        let (status, body) = http(server.addr(), "POST", &target, csv.as_bytes());
+        assert_eq!(status, 200, "{algo}: {body}");
+    }
+    let (_, stats) = http(server.addr(), "GET", "/stats", b"");
+    assert!(stats.contains("\"panics_caught\":0"), "{stats}");
+    server.shutdown();
+}
