@@ -104,107 +104,56 @@ impl TableCurve {
     }
 }
 
-/// The first slot at or after `i`, in the direction the links point,
-/// that is not taken. Halves the path it walks.
-fn untaken(links: &mut [u32], mut i: u32) -> u32 {
-    loop {
-        let j = links[i as usize];
-        if j == i {
-            return i;
-        }
-        let k = links[j as usize];
-        links[i as usize] = k;
-        i = k;
-    }
-}
-
 /// Every SA value's rows in one flat array, each bucket sorted on
-/// `(curve index, row)`, with "next untaken" and "previous untaken"
-/// links that skip the rows groups have already taken.
+/// `(curve index, row)` and taken from its front.
 struct Buckets {
-    /// `(curve index, row)` per slot. Bucket `v` fills
-    /// `start[v]..end[v]`; slot `start[v] − 1` and slot `end[v]` are
-    /// sentinels that are never taken.
+    /// `(curve index, row)`; bucket `v` is `slots[start[v]..end[v]]`.
     slots: Vec<(u128, RowId)>,
-    start: Vec<u32>,
-    end: Vec<u32>,
-    /// Untaken rows per bucket.
-    len: Vec<u32>,
-    /// `next[i] == i` for an untaken slot or a sentinel; for a taken
-    /// slot it points further right, past taken slots only. `prev`
-    /// mirrors it leftwards.
-    next: Vec<u32>,
-    prev: Vec<u32>,
+    /// Bucket `v`'s first untaken slot: its untaken rows are
+    /// `slots[head[v]..end[v]]`.
+    head: Vec<usize>,
+    end: Vec<usize>,
 }
 
 impl Buckets {
     fn new(table: &Table, rows: &[RowId], indices: &[u128]) -> Self {
         let m = table.schema().sa_domain_size() as usize;
-        let mut len = vec![0u32; m];
+        let mut end = vec![0; m];
         for &r in rows {
-            len[table.sa_value(r) as usize] += 1;
+            end[table.sa_value(r) as usize] += 1;
         }
-        let slot_count = u32::try_from(rows.len() + m + 1).expect("row count fits in u32");
-        let (mut start, mut end) = (Vec::with_capacity(m), Vec::with_capacity(m));
-        let mut at = 1;
-        for &c in &len {
-            start.push(at);
-            end.push(at + c);
-            at += c + 1;
+        let mut at = 0;
+        for e in &mut end {
+            at += *e;
+            *e = at;
         }
-        let mut slots = vec![(0, 0); slot_count as usize];
-        let mut fill = start.clone();
-        for (&r, &h) in rows.iter().zip(indices) {
-            let f = &mut fill[table.sa_value(r) as usize];
-            slots[*f as usize] = (h, r);
-            *f += 1;
+        let mut head = end.clone();
+        let mut slots = vec![(0, 0); rows.len()];
+        for (&r, &h) in rows.iter().zip(indices).rev() {
+            let v = table.sa_value(r) as usize;
+            head[v] -= 1;
+            slots[head[v]] = (h, r);
         }
-        for (&s, &e) in start.iter().zip(&end) {
-            slots[s as usize..e as usize].sort_unstable();
+        for (&s, &e) in head.iter().zip(&end) {
+            slots[s..e].sort_unstable();
         }
-        let next: Vec<u32> = (0..slot_count).collect();
-        Buckets {
-            slots,
-            start,
-            end,
-            len,
-            prev: next.clone(),
-            next,
-        }
+        Buckets { slots, head, end }
     }
 
-    /// Bucket `v`'s first untaken slot (its sentinel when empty).
-    fn first(&mut self, v: usize) -> u32 {
-        untaken(&mut self.next, self.start[v])
+    /// Untaken rows in bucket `v`.
+    fn len(&self, v: usize) -> usize {
+        self.end[v] - self.head[v]
     }
 
-    fn take(&mut self, v: usize, slot: u32) -> (u128, RowId) {
-        self.next[slot as usize] = slot + 1;
-        self.prev[slot as usize] = slot - 1;
-        self.len[v] -= 1;
-        self.slots[slot as usize]
+    /// Bucket `v`'s earliest untaken row on the curve.
+    fn first(&self, v: usize) -> (u128, RowId) {
+        self.slots[self.head[v]]
     }
 
-    /// Takes bucket `v`'s row nearest `target` on the curve: the first
-    /// untaken row at or after it or the last one before it, whichever
-    /// is closer; a tie goes to the one before.
-    fn take_nearest(&mut self, v: usize, target: u128) -> (u128, RowId) {
-        let (s, e) = (self.start[v], self.end[v]);
-        let at =
-            s + self.slots[s as usize..e as usize].partition_point(|&(h, _)| h < target) as u32;
-        let succ = untaken(&mut self.next, at);
-        let pred = untaken(&mut self.prev, at - 1);
-        let slot = if pred < s {
-            succ
-        } else if succ == e
-            || target - self.slots[pred as usize].0 <= self.slots[succ as usize].0 - target
-        {
-            pred
-        } else {
-            succ
-        };
-        debug_assert!(slot >= s && slot < e, "take_nearest on an empty bucket");
-        self.take(v, slot)
+    fn take_first(&mut self, v: usize) -> (u128, RowId) {
+        let first = self.first(v);
+        self.head[v] += 1;
+        first
     }
 }
 
@@ -229,13 +178,12 @@ pub fn hilbert_partition(table: &Table, rows: &[RowId], l: u32) -> Partition {
 /// earlier groups consumed).
 ///
 /// Each SA value's rows sit in one flat array sorted on `(curve index,
-/// row)`, so a take is a binary search plus a walk of path-halved
-/// "next/previous untaken" links: `O(log n)` amortized. The non-empty
-/// SA values stay sorted by `(rows left desc, SA asc)` across groups; a
-/// group takes one row from each of the first `l`, so only those `l`
-/// entries move right. With `n` rows that is `O(n log n)` to index and
-/// sort, plus `O(l)` per group and the moves, instead of re-sorting all
-/// `m` buckets per group.
+/// row)`, and a group takes each chosen bucket's first untaken row:
+/// `O(1)` per take. The non-empty SA values stay sorted by `(rows left
+/// desc, SA asc)` across groups; a group takes one row from each of the
+/// first `l`, so only those `l` entries move right. Grouping `n` rows
+/// costs `O(n log n)` to index and sort, plus `O(l)` per group and the
+/// moves, instead of a re-sort of all `m` buckets per group.
 pub fn hilbert_partition_with(table: &Table, rows: &[RowId], l: u32, exec: &Executor) -> Partition {
     assert!(l >= 1, "l must be positive");
     if rows.is_empty() {
@@ -250,19 +198,17 @@ pub fn hilbert_partition_with(table: &Table, rows: &[RowId], l: u32, exec: &Exec
     // Frequency-balanced draining: while at least l buckets are non-empty,
     // form one group from the l fullest (ties by SA id), which lead
     // `order`.
-    let mut order: Vec<usize> = (0..buckets.len.len())
-        .filter(|&v| buckets.len[v] > 0)
-        .collect();
-    order.sort_unstable_by_key(|&v| (Reverse(buckets.len[v]), v));
+    let m = buckets.end.len();
+    let mut order: Vec<usize> = (0..m).filter(|&v| buckets.len(v) > 0).collect();
+    order.sort_unstable_by_key(|&v| (Reverse(buckets.len(v)), v));
     while order.len() >= l {
         // Seed: the earliest remaining tuple (on the curve) in the chosen
-        // buckets; then take each bucket's tuple nearest the seed.
+        // buckets; then take each bucket's tuple nearest the seed. Every
+        // remaining tuple of a chosen bucket lies at or after the seed,
+        // so the nearest is the bucket's first.
         let seed = order[..l]
             .iter()
-            .map(|&v| {
-                let first = buckets.first(v);
-                buckets.slots[first as usize]
-            })
+            .map(|&v| buckets.first(v))
             .min()
             .expect("l ≥ 1 buckets chosen");
         let mut group = OpenGroup {
@@ -271,7 +217,7 @@ pub fn hilbert_partition_with(table: &Table, rows: &[RowId], l: u32, exec: &Exec
             center: seed.0,
         };
         for &v in &order[..l] {
-            let (h, r) = buckets.take_nearest(v, seed.0);
+            let (h, r) = buckets.take_first(v);
             group.add(r, v as Value);
             group.center = group.center / 2 + h / 2; // running midpoint
         }
@@ -280,12 +226,12 @@ pub fn hilbert_partition_with(table: &Table, rows: &[RowId], l: u32, exec: &Exec
         // Each chosen bucket lost one row. They keep their order among
         // themselves, so move each, last first, right past the buckets
         // that now outrank it; emptied buckets sink to the end.
-        let len = &buckets.len;
+        let key = |v: usize| (Reverse(buckets.len(v)), v);
         for i in (0..l).rev() {
             let v = order[i];
             let mut j = i;
             while let Some(&w) = order.get(j + 1) {
-                if (Reverse(len[w]), w) > (Reverse(len[v]), v) {
+                if key(w) > key(v) {
                     break;
                 }
                 order[j] = w;
@@ -293,7 +239,7 @@ pub fn hilbert_partition_with(table: &Table, rows: &[RowId], l: u32, exec: &Exec
             }
             order[j] = v;
         }
-        while order.last().is_some_and(|&v| len[v] == 0) {
+        while order.last().is_some_and(|&v| buckets.len(v) == 0) {
             order.pop();
         }
     }
@@ -303,9 +249,8 @@ pub fn hilbert_partition_with(table: &Table, rows: &[RowId], l: u32, exec: &Exec
     // fullest buckets first.
     let mut unplaced: Vec<(u128, RowId, Value)> = Vec::new();
     for v in order {
-        while buckets.len[v] > 0 {
-            let first = buckets.first(v);
-            let (h, r) = buckets.take(v, first);
+        while buckets.len(v) > 0 {
+            let (h, r) = buckets.take_first(v);
             let best = groups
                 .iter_mut()
                 .filter(|g| g.accepts(v as Value, l as u32))

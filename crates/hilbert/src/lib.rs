@@ -22,17 +22,18 @@
 //! repeatedly draining the `l` currently most frequent buckets
 //! (frequency-balanced draining, the standard feasibility device from the
 //! Anatomy/m-invariance line of work) and picking, within each bucket, the
-//! tuple closest on the curve to the group's seed. The ≤ `l − 1` leftover
-//! tuples are attached to the nearest group that stays l-eligible.
+//! tuple closest on the curve to the group's seed. The seed is the
+//! earliest remaining tuple of the chosen buckets, so the closest is each
+//! bucket's earliest. The ≤ `l − 1` leftover tuples are attached to the
+//! nearest group that stays l-eligible.
 //!
 //! The buckets live in one flat array, each sorted on `(curve index,
-//! row)`, with path-halved "next untaken" and "previous untaken" links
-//! per slot; a take is a binary search plus a short link walk, `O(log n)`
-//! amortized. The non-empty SA values stay sorted by `(rows left desc,
-//! SA asc)` from group to group: a group takes one row from each of the
-//! first `l`, so only those `l` entries move right. Grouping `n` rows
-//! costs `O(n log n)` to index and sort plus `O(l)` per group and the
-//! moves, with no per-group re-sort of the `m` buckets.
+//! row)` and taken from its front, so a take is `O(1)`. The non-empty SA
+//! values stay sorted by `(rows left desc, SA asc)` from group to group:
+//! a group takes one row from each of the first `l`, so only those `l`
+//! entries move right. Grouping `n` rows costs `O(n log n)` to index and
+//! sort plus `O(l)` per group and the moves, with no per-group re-sort of
+//! the `m` buckets.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
