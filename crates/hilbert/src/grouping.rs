@@ -107,7 +107,8 @@ impl TableCurve {
 /// Every SA value's rows in one flat array, each bucket sorted on
 /// `(curve index, row)` and taken from its front.
 struct Buckets {
-    /// `(curve index, row)`; bucket `v` is `slots[start[v]..end[v]]`.
+    /// `(curve index, row)`, bucket after bucket in SA order: bucket `v`
+    /// ends at `end[v]` and starts where bucket `v − 1` ends.
     slots: Vec<(u128, RowId)>,
     /// Bucket `v`'s first untaken slot: its untaken rows are
     /// `slots[head[v]..end[v]]`.
