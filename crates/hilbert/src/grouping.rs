@@ -357,7 +357,7 @@ impl ResiduePartitioner for HilbertResidue {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use ldiv_datagen::{sal, AcsConfig};
     use ldiv_microdata::samples;
@@ -427,7 +427,7 @@ pub(crate) mod tests {
 
     /// A table of `d` QI attributes of `domain` labels each, with five
     /// SA values in turn.
-    pub(crate) fn wide_table(d: usize, domain: u32, rows: u32) -> Table {
+    fn wide_table(d: usize, domain: u32, rows: u32) -> Table {
         use ldiv_microdata::{Attribute, Schema, TableBuilder};
         let qi = (0..d)
             .map(|a| Attribute::new(format!("q{a}"), domain))
@@ -458,6 +458,21 @@ pub(crate) mod tests {
         // Past 128 attributes, the first 128 at one bit each.
         assert_eq!(bits(130, 2), (128, 1, 0));
         assert_eq!(bits(200, 100), (128, 1, 6));
+    }
+
+    /// Tables whose curve would need more than 128 bits at full
+    /// precision: 20 attributes of 100 labels (7 bits each) and 130
+    /// binary attributes. Both the baseline and TP+ publish them.
+    #[test]
+    fn wide_tables_publish_l_diverse_output() {
+        for t in [wide_table(20, 100, 600), wide_table(130, 2, 200)] {
+            let (p, published) = hilbert_publish(&t, 2);
+            validate(&t, &p, 2);
+            assert!(published.is_l_diverse(&t, 2));
+            let hybrid = ldiv_core::anonymize(&t, 2, &HilbertResidue).unwrap();
+            assert!(!hybrid.fell_back);
+            validate(&t, &hybrid.partition, 2);
+        }
     }
 
     #[test]

@@ -63,21 +63,6 @@ mod tests {
         tpp.validate(&t, 2).unwrap();
     }
 
-    /// Tables whose curve would need more than 128 bits at full
-    /// precision: 20 attributes of 100 labels (7 bits each) and 130
-    /// binary attributes.
-    #[test]
-    fn wide_tables_publish_l_diverse_output() {
-        use crate::grouping::tests::wide_table;
-        for t in [wide_table(20, 100, 600), wide_table(130, 2, 200)] {
-            for mechanism in [&HilbertMechanism as &dyn Mechanism, &tp_plus_mechanism()] {
-                let publication = mechanism.anonymize(&t, &Params::new(2)).unwrap();
-                publication.validate(&t, 2).unwrap();
-                assert!(publication.is_l_diverse(&t, 2), "{}", mechanism.name());
-            }
-        }
-    }
-
     #[test]
     fn infeasible_inputs_error_cleanly() {
         let t = ldiv_microdata::samples::hospital();
