@@ -5,11 +5,29 @@
 //! commas (e.g. the paper's age range `[30, 50)`). A cell of an attribute
 //! with labels must be one of its labels; a cell of an attribute without
 //! labels must be an in-domain integer code.
+//!
+//! The reader makes one pass over each chunk of lines: it splits, trims
+//! and interns every cell straight into the chunk's list of each
+//! column's distinct texts, with no buffer of cells in between. A cell of
+//! at most 7 bytes packs into one `u64` word (its bytes, then its length
+//! in the top byte) and is looked up through [`KeyedFold`], a hash keyed
+//! afresh from [`RandomState`] for every index, so a client cannot
+//! precompute cells that collide and flood one bucket. Longer cells keep
+//! std's SipHash. Only the distinct texts then go through the schema's
+//! labels or the inferred ones.
+//!
+//! Errors come in a fixed order, the same at every thread budget:
+//! invalid UTF-8 anywhere (the whole input is decoded first), then the
+//! first ragged line in file order, then a schema whose column count
+//! differs from the file's, then the first cell in file order that the
+//! schema rejects.
 
 use crate::{Attribute, MicrodataError, Schema, SuppressedTable, Table, TableBuilder, Value};
 use ldiv_exec::Executor;
 use std::borrow::Cow;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 use std::io::{BufRead, Write};
 
 /// Lines per parallel parsing chunk. Fixed (never derived from the
@@ -23,36 +41,174 @@ const PARSE_CHUNK: usize = 4_096;
 type LabelIndex<'a> = HashMap<&'a str, u32>;
 
 /// Per column, the code of each of a chunk's distinct texts, in the
-/// order of [`ChunkCodes::firsts`].
+/// order of [`ChunkCodes::texts`].
 type Remap = Vec<Vec<u32>>;
 
-/// One chunk of cells, coded against the chunk's own list of each
-/// column's distinct texts: every cell is hashed once, in parallel, and
-/// only the distinct texts are then looked up in the schema's labels or
-/// added to the inferred ones.
-struct ChunkCodes {
-    /// Row-major: each cell's position in its column's `firsts`.
-    codes: Vec<u32>,
-    /// Per column, the chunk position of the first cell of each distinct
-    /// text, in order of first appearance.
-    firsts: Vec<Vec<usize>>,
+/// Hashes a packed short cell: `word ^ k0` times `k1` as a 128-bit
+/// product, folded to 64 bits by xoring its halves. Both keys are drawn
+/// from a new [`RandomState`] for every index, so which cells share a
+/// bucket differs from call to call and cannot be aimed at from outside;
+/// that is why cells may skip SipHash here, while
+/// [`Table::group_by_qi`] keeps it.
+#[derive(Clone)]
+struct KeyedFold {
+    k0: u64,
+    k1: u64,
 }
 
-impl ChunkCodes {
-    fn of(cells: &[Cow<'_, str>], cols: usize) -> ChunkCodes {
-        let mut index: Vec<LabelIndex<'_>> = vec![LabelIndex::new(); cols];
-        let mut firsts: Vec<Vec<usize>> = vec![Vec::new(); cols];
-        let mut codes = Vec::with_capacity(cells.len());
-        for (r, row) in cells.chunks_exact(cols).enumerate() {
-            for (c, cell) in row.iter().enumerate() {
-                let code = index[c].entry(cell).or_insert_with(|| {
-                    firsts[c].push(r * cols + c);
-                    firsts[c].len() as u32 - 1
-                });
-                codes.push(*code);
+impl Default for KeyedFold {
+    fn default() -> Self {
+        let state = RandomState::new();
+        KeyedFold {
+            k0: state.hash_one(0u64),
+            k1: state.hash_one(1u64) | 1,
+        }
+    }
+}
+
+impl BuildHasher for KeyedFold {
+    type Hasher = FoldHasher;
+
+    fn build_hasher(&self) -> FoldHasher {
+        FoldHasher {
+            keys: self.clone(),
+            hash: 0,
+        }
+    }
+}
+
+struct FoldHasher {
+    keys: KeyedFold,
+    hash: u64,
+}
+
+impl Hasher for FoldHasher {
+    fn write_u64(&mut self, word: u64) {
+        let product = u128::from(self.hash ^ word ^ self.keys.k0) * u128::from(self.keys.k1);
+        self.hash = product as u64 ^ (product >> 64) as u64;
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// A cell of at most 7 bytes as one word: its bytes little-endian, its
+/// length in the top byte, so `a` and `a\0` differ. Longer cells don't
+/// pack. The bytes are read as two little-endian halves, the first and
+/// the last two or four bytes, which overlap on equal bytes.
+fn pack(cell: &str) -> Option<u64> {
+    let b = cell.as_bytes();
+    let n = b.len();
+    let word = match n {
+        0 => 0,
+        1 => u64::from(b[0]),
+        2 | 3 => {
+            let first = u16::from_le_bytes([b[0], b[1]]);
+            let last = u16::from_le_bytes([b[n - 2], b[n - 1]]);
+            u64::from(first) | u64::from(last) << (8 * (n - 2))
+        }
+        4..=7 => {
+            let first = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+            let last = u32::from_le_bytes([b[n - 4], b[n - 3], b[n - 2], b[n - 1]]);
+            u64::from(first) | u64::from(last) << (8 * (n - 4))
+        }
+        _ => return None,
+    };
+    Some(word | (n as u64) << 56)
+}
+
+/// One column's distinct texts in a chunk, in order of first appearance,
+/// with an index from each text to its position.
+#[derive(Default)]
+struct ColumnTexts<'a> {
+    short: HashMap<u64, u32, KeyedFold>,
+    long: HashMap<Cow<'a, str>, u32>,
+    texts: Vec<Cow<'a, str>>,
+}
+
+impl<'a> ColumnTexts<'a> {
+    /// The position of `cell`'s text. A new text is added at the end, as
+    /// `text()` gives it.
+    fn intern(&mut self, cell: &str, text: impl FnOnce() -> Cow<'a, str>) -> u32 {
+        let next = self.texts.len() as u32;
+        let word = pack(cell);
+        let code = match word {
+            Some(word) => *self.short.entry(word).or_insert(next),
+            None => *self.long.get(cell).unwrap_or(&next),
+        };
+        if code == next {
+            let text = text();
+            if word.is_none() {
+                self.long.insert(text.clone(), next);
+            }
+            self.texts.push(text);
+        }
+        code
+    }
+}
+
+/// One chunk of lines, coded against the chunk's own list of each
+/// column's distinct texts: every cell is interned once, in parallel,
+/// and only the distinct texts are then looked up in the schema's labels
+/// or added to the inferred ones.
+struct ChunkCodes<'a> {
+    /// Row-major: each cell's position in its column's `texts`.
+    codes: Vec<u32>,
+    /// Per column, the chunk's distinct texts in order of first
+    /// appearance.
+    texts: Vec<Vec<Cow<'a, str>>>,
+}
+
+impl<'a> ChunkCodes<'a> {
+    /// Splits, trims and interns every cell of `lines` in one pass,
+    /// stopping at the first line that doesn't hold `cols` cells. Cells
+    /// borrow from the input, except on lines that contain a `"`, which
+    /// go through [`split_csv_line`]. Cells beyond the last column are
+    /// only counted.
+    fn of(lines: &[(usize, &'a str)], cols: usize) -> Result<ChunkCodes<'a>, MicrodataError> {
+        let mut columns: Vec<ColumnTexts<'a>> = (0..cols).map(|_| ColumnTexts::default()).collect();
+        let mut codes = Vec::with_capacity(lines.len() * cols);
+        for &(file_line, line) in lines {
+            let found = if line.as_bytes().contains(&b'"') {
+                let cells = split_csv_line(line);
+                for (texts, cell) in columns.iter_mut().zip(&cells) {
+                    codes.push(texts.intern(cell, || Cow::Owned(cell.clone())));
+                }
+                cells.len()
+            } else {
+                let bytes = line.as_bytes();
+                let (mut found, mut start) = (0, 0);
+                loop {
+                    let end = bytes[start..]
+                        .iter()
+                        .position(|&b| b == b',')
+                        .map_or(bytes.len(), |at| start + at);
+                    if let Some(texts) = columns.get_mut(found) {
+                        let cell = trim(&line[start..end]);
+                        codes.push(texts.intern(cell, || Cow::Borrowed(cell)));
+                    }
+                    found += 1;
+                    if end == bytes.len() {
+                        break found;
+                    }
+                    start = end + 1;
+                }
+            };
+            if found != cols {
+                return Err(MicrodataError::Csv(format!(
+                    "line {file_line}: expected {cols} cells, found {found}"
+                )));
             }
         }
-        ChunkCodes { codes, firsts }
+        let texts = columns.into_iter().map(|column| column.texts).collect();
+        Ok(ChunkCodes { codes, texts })
     }
 }
 
@@ -68,15 +224,21 @@ pub fn read_csv<R: BufRead>(reader: R, schema: Option<Schema>) -> Result<Table, 
 
 /// [`read_csv`] under an explicit thread budget.
 ///
-/// The input is read into memory once. Cells borrow from it, except on
-/// lines that contain a `"`, which go through [`split_csv_line`]. Two
-/// passes fan out over fixed-size line chunks: the first splits lines
-/// into cells, the second codes each chunk's cells against the chunk's
-/// own list of each column's distinct texts. Those texts are then coded
-/// sequentially, chunk by chunk, through one label → code hash index per
-/// column: built from the schema's labels when one is given, or grown by
-/// inference, which orders each domain by first appearance. Results, and
-/// the first error in file order, are identical for every budget.
+/// The input is read into memory and decoded as UTF-8 once. One loop
+/// per fixed-size chunk of lines, fanned out over the budget, splits,
+/// trims and interns each cell into the chunk's list of each column's
+/// distinct texts: a cell of at most 7 bytes through a `u64` word in a
+/// randomly keyed multiply-fold index, a longer one through SipHash.
+/// Those texts are then coded sequentially, chunk by chunk, through one
+/// label → code hash index per column: built from the schema's labels
+/// when one is given, or grown by inference, which orders each domain by
+/// first appearance.
+///
+/// Errors, in this order: invalid UTF-8 anywhere in the input, the first
+/// ragged line in file order, a schema whose column count differs from
+/// the file's, and the first cell in file order that the schema rejects.
+/// So a ragged line is reported even when an earlier line holds a bad
+/// cell. Results, and the error, are identical for every budget.
 pub fn read_csv_with<R: BufRead>(
     mut reader: R,
     schema: Option<Schema>,
@@ -104,35 +266,28 @@ pub fn read_csv_with<R: BufRead>(
     // The non-blank data lines with their file line numbers (for error
     // messages).
     let body = utf8(bytes.get(header_end + 1..).unwrap_or_default())?;
-    let lines: Vec<(usize, &str)> = body
-        .split('\n')
-        .enumerate()
-        .filter(|(_, line)| !line.trim().is_empty())
-        .map(|(i, line)| (i + 2, line))
-        .collect();
-
-    // Parallel pass 1: split every line into cells, checking arity. Each
-    // chunk stops at its first bad line; taking the first error in chunk
-    // order reports exactly the first bad line of the file.
-    let split = exec.map_chunks(&lines, PARSE_CHUNK, |chunk| {
-        let mut cells: Vec<Cow<'_, str>> = Vec::with_capacity(chunk.len() * cols);
-        for &(file_line, line) in chunk {
-            let before = cells.len();
-            if line.as_bytes().contains(&b'"') {
-                cells.extend(split_csv_line(line).into_iter().map(Cow::Owned));
-            } else {
-                split_unquoted(line, &mut cells);
-            }
-            let found = cells.len() - before;
-            if found != cols {
-                return Err(MicrodataError::Csv(format!(
-                    "line {file_line}: expected {cols} cells, found {found}"
-                )));
-            }
+    let mut lines: Vec<(usize, &str)> = Vec::new();
+    let (mut rest, mut file_line) = (body, 2);
+    loop {
+        let end = rest.bytes().position(|b| b == b'\n');
+        let line = &rest[..end.unwrap_or(rest.len())];
+        if !is_blank(line) {
+            lines.push((file_line, line));
         }
-        Ok(cells)
-    });
-    let parts: Vec<Vec<Cow<'_, str>>> = split.into_iter().collect::<Result<_, _>>()?;
+        match end {
+            Some(end) => rest = &rest[end + 1..],
+            None => break,
+        }
+        file_line += 1;
+    }
+
+    // In parallel, one pass per chunk. Each chunk stops at its first
+    // ragged line; taking the first error in chunk order reports exactly
+    // the first ragged line of the file.
+    let chunks: Vec<ChunkCodes<'_>> = exec
+        .map_chunks(&lines, PARSE_CHUNK, |chunk| ChunkCodes::of(chunk, cols))
+        .into_iter()
+        .collect::<Result<_, _>>()?;
 
     if let Some(s) = &schema {
         if s.dimensionality() + 1 != cols {
@@ -144,18 +299,15 @@ pub fn read_csv_with<R: BufRead>(
         }
     }
 
-    // Parallel pass 2: code every cell against its chunk's distinct texts.
-    let chunks = exec.map(&parts, |part| ChunkCodes::of(part, cols));
-
     // Sequential, chunk by chunk: code each chunk's distinct texts
     // through one index per column, built from the schema's labels or by
     // inference, which orders each domain by first appearance.
     let (schema, remaps) = match schema {
         Some(s) => {
-            let remaps = code_with_schema(&s, &parts, &chunks)?;
+            let remaps = code_with_schema(&s, &chunks)?;
             (s, remaps)
         }
-        None => infer_schema(&names, &parts, &chunks)?,
+        None => infer_schema(&names, &chunks)?,
     };
 
     let d = cols - 1;
@@ -178,17 +330,10 @@ fn utf8(bytes: &[u8]) -> Result<&str, MicrodataError> {
         .map_err(|_| MicrodataError::Csv("stream did not contain valid UTF-8".into()))
 }
 
-/// Splits a line without quotes into borrowed, trimmed cells: what
-/// [`split_csv_line`] returns for it, without allocating.
-fn split_unquoted<'a>(line: &'a str, cells: &mut Vec<Cow<'a, str>>) {
-    let mut start = 0;
-    for (i, b) in line.bytes().enumerate() {
-        if b == b',' {
-            cells.push(Cow::Borrowed(trim(&line[start..i])));
-            start = i + 1;
-        }
-    }
-    cells.push(Cow::Borrowed(trim(&line[start..])));
+/// Whether a line holds only whitespace, skipping the Unicode scan when
+/// it starts with visible ASCII.
+fn is_blank(line: &str) -> bool {
+    !line.as_bytes().first().is_some_and(u8::is_ascii_graphic) && line.trim().is_empty()
 }
 
 /// [`str::trim`], skipping the Unicode scan when both ends are visible
@@ -236,32 +381,45 @@ fn escape_cell(cell: &str) -> String {
     }
 }
 
+/// Sentinel in a [`Remap`] for a text that `code` rejected. No code
+/// reaches it: inference rejects nothing, and [`Schema::new`] bounds
+/// every domain by the value type.
+const BAD: u32 = u32::MAX;
+
 /// Codes every chunk's distinct texts with `code(column, text)`, chunk
 /// by chunk in file order. At the first chunk holding a text that `code`
-/// rejects, returns the chunk's first bad cell in file order, which is
-/// the first appearance of one of its bad texts, and its column.
-fn remap_chunks<'a>(
-    parts: &'a [Vec<Cow<'_, str>>],
-    chunks: &[ChunkCodes],
-    mut code: impl FnMut(usize, &'a str) -> Option<u32>,
-) -> Result<Vec<Remap>, (&'a str, usize)> {
+/// rejects, returns the chunk's first bad cell in file order and its
+/// column.
+fn remap_chunks<'c>(
+    chunks: &'c [ChunkCodes<'_>],
+    mut code: impl FnMut(usize, &'c str) -> Option<u32>,
+) -> Result<Vec<Remap>, (&'c str, usize)> {
     let mut remaps = Vec::with_capacity(chunks.len());
-    for (part, chunk) in parts.iter().zip(chunks) {
-        let cols = chunk.firsts.len();
-        let mut first_bad: Option<usize> = None;
-        let mut remap = Remap::with_capacity(cols);
-        for (column, firsts) in chunk.firsts.iter().enumerate() {
-            let mut codes_of = Vec::with_capacity(firsts.len());
-            for &pos in firsts {
-                codes_of.push(code(column, &part[pos]).unwrap_or_else(|| {
-                    first_bad = Some(first_bad.map_or(pos, |bad| bad.min(pos)));
-                    0
-                }));
-            }
-            remap.push(codes_of);
-        }
-        if let Some(pos) = first_bad {
-            return Err((&part[pos], pos % cols));
+    for chunk in chunks {
+        let cols = chunk.texts.len();
+        let mut bad = false;
+        let remap: Remap = chunk
+            .texts
+            .iter()
+            .enumerate()
+            .map(|(column, texts)| {
+                texts
+                    .iter()
+                    .map(|text| {
+                        code(column, text).unwrap_or_else(|| {
+                            bad = true;
+                            BAD
+                        })
+                    })
+                    .collect()
+            })
+            .collect();
+        if bad {
+            let pos = (0..chunk.codes.len())
+                .find(|&pos| remap[pos % cols][chunk.codes[pos] as usize] == BAD)
+                .expect("a rejected text has a cell");
+            let column = pos % cols;
+            return Err((&chunk.texts[column][chunk.codes[pos] as usize], column));
         }
         remaps.push(remap);
     }
@@ -272,13 +430,12 @@ fn remap_chunks<'a>(
 /// texts in order of first appearance.
 fn infer_schema(
     names: &[String],
-    parts: &[Vec<Cow<'_, str>>],
-    chunks: &[ChunkCodes],
+    chunks: &[ChunkCodes<'_>],
 ) -> Result<(Schema, Vec<Remap>), MicrodataError> {
     let cols = names.len();
     let mut indexes: Vec<LabelIndex<'_>> = vec![LabelIndex::new(); cols];
     let mut labels: Vec<Vec<String>> = vec![Vec::new(); cols];
-    let remaps = remap_chunks(parts, chunks, |c, text| {
+    let remaps = remap_chunks(chunks, |c, text| {
         Some(*indexes[c].entry(text).or_insert_with(|| {
             labels[c].push(text.to_string());
             labels[c].len() as u32 - 1
@@ -305,8 +462,7 @@ fn infer_schema(
 /// one without labels an in-domain integer code.
 fn code_with_schema(
     schema: &Schema,
-    parts: &[Vec<Cow<'_, str>>],
-    chunks: &[ChunkCodes],
+    chunks: &[ChunkCodes<'_>],
 ) -> Result<Vec<Remap>, MicrodataError> {
     let attrs: Vec<&Attribute> = schema
         .qi_attributes()
@@ -323,7 +479,7 @@ fn code_with_schema(
             index
         })
         .collect();
-    remap_chunks(parts, chunks, |c, text| {
+    remap_chunks(chunks, |c, text| {
         if attrs[c].labels().is_empty() {
             text.parse::<u32>()
                 .ok()
