@@ -630,7 +630,7 @@ fn cmd_anonymize_run(
     // Summarize the table actually written, so stars/suppressed match the
     // CSV the user just received even when the mechanism's native payload
     // (boxes, anatomy, recoding) has no stars of its own.
-    let summary = PublicationSummary::of_with(&table, &published, &exec);
+    let summary = PublicationSummary::of(&table, &published);
     let mut msg = format!(
         "wrote {} rows to {output}\nmechanism: {}\nstars: {} ({:.2}% of QI cells)\nsuppressed tuples: {}\nQI-groups: {}\nKL-divergence: {:.4}\n",
         summary.rows,

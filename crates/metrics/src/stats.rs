@@ -55,32 +55,28 @@ impl PublicationSummary {
         }
     }
 
-    /// Summarizes a publication. Uses the auto thread budget.
+    /// Summarizes a publication: one sequential fold over its groups,
+    /// which costs far less than handing the groups to other threads.
     pub fn of(table: &Table, published: &SuppressedTable) -> Self {
-        PublicationSummary::of_with(table, published, &ldiv_exec::Executor::default())
-    }
-
-    /// [`of`](PublicationSummary::of) under an explicit thread budget:
-    /// the per-group star/shape reduction fans out as an ordered map
-    /// over the groups (all-integer accumulation, so the result is
-    /// identical for every budget).
-    pub fn of_with(table: &Table, published: &SuppressedTable, exec: &ldiv_exec::Executor) -> Self {
         let n = table.len();
         let d = table.dimensionality();
         let groups = published.groups();
-        // (stars, suppressed tuples, size, futile) per group, reduced in
-        // group order.
-        let shapes = exec.map(groups, |g| {
-            let suppressed = if g.is_suppressed() { g.rows().len() } else { 0 };
-            (g.star_count(), suppressed, g.rows().len(), g.is_futile())
-        });
-        let stars: usize = shapes.iter().map(|s| s.0).sum();
+        let (mut stars, mut suppressed_tuples, mut max_group_size, mut futile_groups) =
+            (0, 0, 0, 0);
+        for g in groups {
+            stars += g.star_count();
+            if g.is_suppressed() {
+                suppressed_tuples += g.rows().len();
+            }
+            max_group_size = max_group_size.max(g.rows().len());
+            futile_groups += usize::from(g.is_futile());
+        }
         PublicationSummary {
             rows: n,
             dimensionality: d,
             groups: groups.len(),
             stars,
-            suppressed_tuples: shapes.iter().map(|s| s.1).sum(),
+            suppressed_tuples,
             star_ratio: if n == 0 {
                 0.0
             } else {
@@ -91,8 +87,8 @@ impl PublicationSummary {
             } else {
                 n as f64 / groups.len() as f64
             },
-            max_group_size: shapes.iter().map(|s| s.2).max().unwrap_or(0),
-            futile_groups: shapes.iter().filter(|s| s.3).count(),
+            max_group_size,
+            futile_groups,
         }
     }
 }
