@@ -575,6 +575,7 @@ const STAR: &str = crate::generalize::STAR_TEXT;
 mod tests {
     use super::*;
     use crate::{samples, Partition};
+    use proptest::prelude::*;
 
     #[test]
     fn round_trip_hospital() {
@@ -747,5 +748,103 @@ mod tests {
             read("a,b,sa\n20,3,q\n"),
             Err("csv error: cell '3' is not an in-domain code for attribute 'b'".into())
         );
+    }
+
+    /// Characters of the random cells: spaces (one of them Unicode),
+    /// NUL, and two- and three-byte characters, so cells straddle the
+    /// 7-byte packing limit in every way.
+    const ALPHABET: [char; 8] = ['a', 'b', ' ', '\0', 'é', '日', '\u{3000}', '\t'];
+
+    /// One cell of 0–10 bytes, drawn from the bits of `draw`, and
+    /// whether to write it quoted.
+    fn random_cell(draw: u64) -> (String, bool) {
+        let len = (draw % 11) as usize;
+        let quoted = (draw >> 4).is_multiple_of(4);
+        let mut bits = draw >> 6;
+        let mut cell = String::new();
+        while cell.len() < len {
+            let c = ALPHABET[(bits % 8) as usize];
+            bits = bits.rotate_right(3);
+            cell.push(if cell.len() + c.len_utf8() <= len {
+                c
+            } else {
+                'a'
+            });
+        }
+        (cell, quoted)
+    }
+
+    /// What the reader must make of `rows`: each cell trimmed (quotes
+    /// dropped), each column coded by a linear search of its labels in
+    /// order of first appearance.
+    fn naive_table(cols: usize, rows: &[Vec<String>]) -> Table {
+        let mut labels: Vec<Vec<String>> = vec![Vec::new(); cols];
+        let mut coded: Vec<Vec<Value>> = Vec::new();
+        for row in rows {
+            let mut codes = Vec::new();
+            for (column, cell) in row.iter().enumerate() {
+                let text = cell.replace('"', "").trim().to_string();
+                let known = &mut labels[column];
+                let code = match known.iter().position(|label| *label == text) {
+                    Some(code) => code,
+                    None => {
+                        known.push(text);
+                        known.len() - 1
+                    }
+                };
+                codes.push(code as Value);
+            }
+            coded.push(codes);
+        }
+        let mut attrs: Vec<Attribute> = labels
+            .into_iter()
+            .enumerate()
+            .map(|(column, mut labels)| {
+                if labels.is_empty() {
+                    labels.push(String::new());
+                }
+                Attribute::with_labels(format!("c{column}"), labels)
+            })
+            .collect();
+        let sensitive = attrs.pop().unwrap();
+        let mut builder = TableBuilder::new(Schema::new(attrs, sensitive).unwrap());
+        for codes in &coded {
+            builder
+                .push_row(&codes[..cols - 1], codes[cols - 1])
+                .unwrap();
+        }
+        builder.build()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The fused split-trim-intern loop reads every body as the
+        /// naive reference does, whatever the cells' lengths, bytes and
+        /// quoting.
+        #[test]
+        fn interned_cells_match_a_naive_reference(
+            cols in 2usize..5,
+            draws in proptest::collection::vec(any::<u64>(), 0..240),
+        ) {
+            let header: Vec<String> = (0..cols).map(|c| format!("c{c}")).collect();
+            let mut body = header.join(",") + "\n";
+            let mut rows = Vec::new();
+            for line in draws.chunks_exact(cols) {
+                let mut row = Vec::new();
+                for &draw in line {
+                    let (cell, quoted) = random_cell(draw);
+                    row.push(if quoted { format!("\"{cell}\"") } else { cell });
+                }
+                body.push_str(&row.join(","));
+                body.push('\n');
+                rows.push(row);
+            }
+            let expected = naive_table(cols, &rows);
+            for threads in [1, 2] {
+                let parsed = read_csv_with(body.as_bytes(), None, &Executor::new(threads));
+                prop_assert_eq!(parsed.as_ref(), Ok(&expected), "body {:?}", body);
+            }
+        }
     }
 }
