@@ -264,7 +264,7 @@ pub fn read_csv_with<R: BufRead>(
     let cols = names.len();
 
     // The non-blank data lines with their file line numbers (for error
-    // messages).
+    // messages), found by a byte scan: `str::split` costs more per line.
     let body = utf8(bytes.get(header_end + 1..).unwrap_or_default())?;
     let mut lines: Vec<(usize, &str)> = Vec::new();
     let (mut rest, mut file_line) = (body, 2);
