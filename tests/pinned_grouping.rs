@@ -11,22 +11,29 @@
 //!   over all rows and over TP's residue, in order;
 //! - `mondrian`: the groups of `mondrian_partition_with`, in order;
 //! - `<mechanism>@<threads>`: the registry's publication (groups in
-//!   order, stars and notes) at one and at two threads.
+//!   order, stars and notes) at one and at two threads;
+//! - `anatomy`: the groups of `anatomize_with` in order, the QIT group
+//!   of every row and every sensitive-table entry; `anatomy@<threads>`
+//!   folds the same two tables from the publication's payload.
 //!
-//! A change to any grouping loop that alters one of them, however
+//! The tables are SAL/OCC projections and seeded tables with a skewed
+//! SA column, on which the drain leaves rows for the leftover step. A
+//! change to any grouping loop that alters one of them, however
 //! slightly, changes a digest.
 
+use ldiversity::anatomy::anatomize_with;
+use ldiversity::api::{AnatomyTables, Payload};
 use ldiversity::core::{tuple_minimize, TpOutcome};
 use ldiversity::datagen::{occ, sal, AcsConfig};
 use ldiversity::hilbert::hilbert_partition_with;
-use ldiversity::microdata::{Fnv1a, Partition, Table};
+use ldiversity::microdata::{Attribute, Fnv1a, Partition, Schema, Table, TableBuilder, Value};
 use ldiversity::multidim::mondrian_partition_with;
 use ldiversity::{standard_registry, Executor, MechanismRegistry, Params};
 
 const ROWS: usize = 2_000;
 const SEED: u64 = 17;
 const PROJECTIONS: [&[usize]; 4] = [&[0], &[0, 4], &[0, 2, 4, 5], &[0, 1, 2, 3, 4, 5, 6]];
-const MECHANISMS: [&str; 4] = ["tp", "tp+", "hilbert", "mondrian"];
+const MECHANISMS: [&str; 5] = ["tp", "tp+", "hilbert", "mondrian", "anatomy"];
 
 fn write_groups(h: &mut Fnv1a, partition: &Partition) {
     h.write_u32(partition.groups().len() as u32);
@@ -35,6 +42,17 @@ fn write_groups(h: &mut Fnv1a, partition: &Partition) {
         for &row in group {
             h.write_u32(row);
         }
+    }
+}
+
+fn write_anatomy_tables(h: &mut Fnv1a, tables: &AnatomyTables) {
+    h.write_u32(tables.group_of.len() as u32);
+    for &g in &tables.group_of {
+        h.write_u32(g);
+    }
+    h.write_u32(tables.entries.len() as u32);
+    for e in &tables.entries {
+        h.write_u32(e.group).write_value(e.value).write_u32(e.count);
     }
 }
 
@@ -77,6 +95,7 @@ fn table_digests(table: &Table, registry: &MechanismRegistry) -> Vec<(String, u6
             kinds.push((format!("{name}@{threads}"), Fnv1a::new()));
         }
     }
+    kinds.push(("anatomy".to_string(), Fnv1a::new()));
     for l in 1..=6 {
         let mut hs = kinds.iter_mut().map(|(_, h)| h);
         let h = hs.next().unwrap();
@@ -112,6 +131,9 @@ fn table_digests(table: &Table, registry: &MechanismRegistry) -> Vec<(String, u6
                         for note in publication.notes() {
                             h.write_str(note);
                         }
+                        if let Payload::Anatomy(tables) = publication.payload() {
+                            write_anatomy_tables(h, tables);
+                        }
                     }
                     Err(e) => {
                         h.write_str(&e.to_string());
@@ -119,8 +141,59 @@ fn table_digests(table: &Table, registry: &MechanismRegistry) -> Vec<(String, u6
                 }
             }
         }
+        let h = hs.next().unwrap();
+        match anatomize_with(table, l, &exec) {
+            Ok(a) => {
+                write_groups(h, a.partition());
+                let tables = AnatomyTables {
+                    group_of: (0..table.len() as u32).map(|r| a.group_of(r)).collect(),
+                    entries: a.sensitive_table().to_vec(),
+                };
+                write_anatomy_tables(h, &tables);
+            }
+            Err(e) => {
+                h.write_str(&e.to_string());
+            }
+        }
     }
     kinds.into_iter().map(|(k, h)| (k, h.finish())).collect()
+}
+
+/// A seeded table of `rows` rows: uniform QI columns over
+/// `qi_domains`, and an SA column drawn with the given `weights`.
+fn skewed(seed: u64, rows: usize, qi_domains: &[u32], weights: &[u32]) -> Table {
+    let qi = qi_domains
+        .iter()
+        .enumerate()
+        .map(|(a, &n)| Attribute::new(format!("q{a}"), n))
+        .collect();
+    let schema = Schema::new(qi, Attribute::new("sa", weights.len() as u32)).unwrap();
+    let total: u32 = weights.iter().sum();
+    let mut state = seed;
+    let mut next = |bound: u32| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % u64::from(bound)) as u32
+    };
+    let mut b = TableBuilder::new(schema);
+    let mut qi = vec![0 as Value; qi_domains.len()];
+    for _ in 0..rows {
+        for (v, &n) in qi.iter_mut().zip(qi_domains) {
+            *v = next(n) as Value;
+        }
+        let mut pick = next(total);
+        let sa = weights
+            .iter()
+            .position(|&w| {
+                let hit = pick < w;
+                pick = pick.wrapping_sub(w);
+                hit
+            })
+            .unwrap();
+        b.push_row(&qi, sa as Value).unwrap();
+    }
+    b.build()
 }
 
 fn digests() -> Vec<String> {
@@ -138,12 +211,27 @@ fn digests() -> Vec<String> {
             }
         }
     }
+    let skewed_tables = [
+        skewed(1, 1_999, &[9, 4], &[6, 5, 3, 2, 1, 1, 1]),
+        skewed(2, 1_001, &[6], &[3, 3, 3, 1, 1]),
+        skewed(3, 1_500, &[5, 7, 3], &[10, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]),
+        skewed(4, 61, &[4, 4], &[4, 3, 2, 2, 1, 1]),
+    ];
+    for (i, table) in skewed_tables.iter().enumerate() {
+        for (kind, digest) in table_digests(table, &registry) {
+            let d = table.dimensionality();
+            lines.push(format!("skew{} d={d} {kind} {digest:016x}", i + 1));
+        }
+    }
     lines
 }
 
 /// Generated from the grouping loops that kept a `BTreeSet` per SA
 /// value (Hilbert), sorted a value vector per split attempt (Mondrian)
-/// and built a `Group` for every one-row QI-group (TP).
+/// and built a `Group` for every one-row QI-group (TP). The `anatomy`
+/// lines and the `skew` tables were added later, generated by the
+/// Anatomy loop that re-sorted every SA bucket for each group and built
+/// its sensitive table from a `HashMap` per group.
 const PINNED: &str = "\
 sal d=1 tp 463f004092cbc5b6
 sal d=1 hilbert a3f863b1a4709c31
@@ -157,6 +245,9 @@ sal d=1 hilbert@1 6afe8e11b5a9e171
 sal d=1 hilbert@2 6afe8e11b5a9e171
 sal d=1 mondrian@1 7e12a6d6611f503a
 sal d=1 mondrian@2 7e12a6d6611f503a
+sal d=1 anatomy@1 d808aa2e9879d99e
+sal d=1 anatomy@2 d808aa2e9879d99e
+sal d=1 anatomy 58e7019239d0a461
 sal d=2 tp 73110bc9dee85315
 sal d=2 hilbert f50b1d3bab67cbb5
 sal d=2 hilbert-residue ade5e7b06f87e6bf
@@ -169,6 +260,9 @@ sal d=2 hilbert@1 1e04756aeff66048
 sal d=2 hilbert@2 1e04756aeff66048
 sal d=2 mondrian@1 e04d767512be1285
 sal d=2 mondrian@2 e04d767512be1285
+sal d=2 anatomy@1 d808aa2e9879d99e
+sal d=2 anatomy@2 d808aa2e9879d99e
+sal d=2 anatomy 58e7019239d0a461
 sal d=4 tp 88c2ee572ea27b54
 sal d=4 hilbert 6f8d8cbcf699d9bd
 sal d=4 hilbert-residue 2a81bcd299e704ae
@@ -181,6 +275,9 @@ sal d=4 hilbert@1 0a069311e75d8b08
 sal d=4 hilbert@2 0a069311e75d8b08
 sal d=4 mondrian@1 d8966d9736a633cc
 sal d=4 mondrian@2 d8966d9736a633cc
+sal d=4 anatomy@1 d808aa2e9879d99e
+sal d=4 anatomy@2 d808aa2e9879d99e
+sal d=4 anatomy 58e7019239d0a461
 sal d=7 tp 4d0647dc0362b820
 sal d=7 hilbert 90bf96190aaf57a9
 sal d=7 hilbert-residue a64e5e6dfffe7151
@@ -193,6 +290,9 @@ sal d=7 hilbert@1 57638f9ff0872430
 sal d=7 hilbert@2 57638f9ff0872430
 sal d=7 mondrian@1 e57e3e8d37a2bcf5
 sal d=7 mondrian@2 e57e3e8d37a2bcf5
+sal d=7 anatomy@1 d808aa2e9879d99e
+sal d=7 anatomy@2 d808aa2e9879d99e
+sal d=7 anatomy 58e7019239d0a461
 occ d=1 tp 7c9148f7875c5d5f
 occ d=1 hilbert 009511a69f26a979
 occ d=1 hilbert-residue 2cc070074dab099d
@@ -205,6 +305,9 @@ occ d=1 hilbert@1 3e5a8169464940f0
 occ d=1 hilbert@2 3e5a8169464940f0
 occ d=1 mondrian@1 3cf5bcd5791ddb83
 occ d=1 mondrian@2 3cf5bcd5791ddb83
+occ d=1 anatomy@1 61e21cbceb5c8c8e
+occ d=1 anatomy@2 61e21cbceb5c8c8e
+occ d=1 anatomy 17f8e2c3af0d25f9
 occ d=2 tp 33099e8613f0e7d9
 occ d=2 hilbert 914d7181764f6d09
 occ d=2 hilbert-residue 8e4bc24f09157bf8
@@ -217,6 +320,9 @@ occ d=2 hilbert@1 9deac6f92a881d84
 occ d=2 hilbert@2 9deac6f92a881d84
 occ d=2 mondrian@1 50527e3d058c04f5
 occ d=2 mondrian@2 50527e3d058c04f5
+occ d=2 anatomy@1 61e21cbceb5c8c8e
+occ d=2 anatomy@2 61e21cbceb5c8c8e
+occ d=2 anatomy 17f8e2c3af0d25f9
 occ d=4 tp 1f13266b5923f2e2
 occ d=4 hilbert 1125e56b5d4c6021
 occ d=4 hilbert-residue 28560d63b422b275
@@ -229,6 +335,9 @@ occ d=4 hilbert@1 4cc1786810cbb108
 occ d=4 hilbert@2 4cc1786810cbb108
 occ d=4 mondrian@1 ab30741f1d7774d2
 occ d=4 mondrian@2 ab30741f1d7774d2
+occ d=4 anatomy@1 61e21cbceb5c8c8e
+occ d=4 anatomy@2 61e21cbceb5c8c8e
+occ d=4 anatomy 17f8e2c3af0d25f9
 occ d=7 tp d632032ed628e110
 occ d=7 hilbert 1a044619e379a29d
 occ d=7 hilbert-residue 2385e17e8b62433a
@@ -241,6 +350,69 @@ occ d=7 hilbert@1 82eba0de5c5de83a
 occ d=7 hilbert@2 82eba0de5c5de83a
 occ d=7 mondrian@1 bba7f052759477cb
 occ d=7 mondrian@2 bba7f052759477cb
+occ d=7 anatomy@1 61e21cbceb5c8c8e
+occ d=7 anatomy@2 61e21cbceb5c8c8e
+occ d=7 anatomy 17f8e2c3af0d25f9
+skew1 d=2 tp 5a689bfdc6c0303e
+skew1 d=2 hilbert 74d7741019686b73
+skew1 d=2 hilbert-residue 81d23fd7003c2305
+skew1 d=2 mondrian 19db44164ed67391
+skew1 d=2 tp@1 5114c52117491f43
+skew1 d=2 tp@2 5114c52117491f43
+skew1 d=2 tp+@1 5114c52117491f43
+skew1 d=2 tp+@2 5114c52117491f43
+skew1 d=2 hilbert@1 076d3b7fd7dfdcbf
+skew1 d=2 hilbert@2 076d3b7fd7dfdcbf
+skew1 d=2 mondrian@1 908a8f10552f97a7
+skew1 d=2 mondrian@2 908a8f10552f97a7
+skew1 d=2 anatomy@1 c6c89456e0a7007d
+skew1 d=2 anatomy@2 c6c89456e0a7007d
+skew1 d=2 anatomy 36bdbd6e9eb0a017
+skew2 d=1 tp 724bf9e2af225d83
+skew2 d=1 hilbert cdf18cefd43f4660
+skew2 d=1 hilbert-residue 81d23fd7003c2305
+skew2 d=1 mondrian 9d3e43ea274ff3c7
+skew2 d=1 tp@1 4a1511b81569499e
+skew2 d=1 tp@2 4a1511b81569499e
+skew2 d=1 tp+@1 4a1511b81569499e
+skew2 d=1 tp+@2 4a1511b81569499e
+skew2 d=1 hilbert@1 f9e6dde617c3b13c
+skew2 d=1 hilbert@2 f9e6dde617c3b13c
+skew2 d=1 mondrian@1 e00302afef2be392
+skew2 d=1 mondrian@2 e00302afef2be392
+skew2 d=1 anatomy@1 5e439529c18105df
+skew2 d=1 anatomy@2 5e439529c18105df
+skew2 d=1 anatomy 690a962857801ddf
+skew3 d=3 tp b71292566fb8e2fb
+skew3 d=3 hilbert f9f5e3de543bedaa
+skew3 d=3 hilbert-residue 85532721dfdcf1d0
+skew3 d=3 mondrian aba8cde357d0f914
+skew3 d=3 tp@1 5286722b29a1520a
+skew3 d=3 tp@2 5286722b29a1520a
+skew3 d=3 tp+@1 3b771b8173b56ae6
+skew3 d=3 tp+@2 3b771b8173b56ae6
+skew3 d=3 hilbert@1 fe485c86091210c7
+skew3 d=3 hilbert@2 fe485c86091210c7
+skew3 d=3 mondrian@1 c42e46dae30f4b6a
+skew3 d=3 mondrian@2 c42e46dae30f4b6a
+skew3 d=3 anatomy@1 46eeeb5ebacbfef5
+skew3 d=3 anatomy@2 46eeeb5ebacbfef5
+skew3 d=3 anatomy aa0b8bdb04cdb56e
+skew4 d=2 tp 105a4d582f7fecbb
+skew4 d=2 hilbert 3215a3ed10b8c699
+skew4 d=2 hilbert-residue 0e44842e491458be
+skew4 d=2 mondrian a41ec2bcb194092c
+skew4 d=2 tp@1 da746a8d44918181
+skew4 d=2 tp@2 da746a8d44918181
+skew4 d=2 tp+@1 0e5e94bbd5e49ff9
+skew4 d=2 tp+@2 0e5e94bbd5e49ff9
+skew4 d=2 hilbert@1 2d528a5929f3bdce
+skew4 d=2 hilbert@2 2d528a5929f3bdce
+skew4 d=2 mondrian@1 9d0faf66c2b6bf87
+skew4 d=2 mondrian@2 9d0faf66c2b6bf87
+skew4 d=2 anatomy@1 89f3d6879bf63b9b
+skew4 d=2 anatomy@2 89f3d6879bf63b9b
+skew4 d=2 anatomy 1b28ebf52ec11b93
 ";
 
 #[test]
