@@ -14,9 +14,9 @@
 //!   registered as `"anatomy"` in the workspace registry;
 //! * [`anatomize`] — the bucketization algorithm: frequency-balanced
 //!   draining into groups of `l` distinct SA values plus residue
-//!   assignment (the same feasibility device as the Hilbert baseline's
-//!   grouping, but with no spatial component — anatomy has no reason to
-//!   prefer any tuple order);
+//!   assignment. The drain is [`SaBuckets::drain`], the one the Hilbert
+//!   baseline's grouping runs too; anatomy has no reason to prefer any
+//!   tuple order, so its buckets are keyed on row order alone;
 //! * [`AnatomizedTable`] — the QIT/ST pair with lookup accessors and CSV
 //!   rendering;
 //! * [`kl_divergence_anatomy`] — Eq. (2) adapted to anatomy's semantics:
@@ -33,13 +33,8 @@
 
 use ldiv_api::{AnatomyTables, LdivError, Mechanism, Params, Payload, Publication};
 use ldiv_exec::Executor;
-use ldiv_microdata::{MicrodataError, Partition, RowId, SaHistogram, Table, Value};
-use std::collections::{HashMap, VecDeque};
+use ldiv_microdata::{escape_cell, MicrodataError, OpenGroup, Partition, RowId, SaBuckets, Table};
 use std::io::Write;
-
-/// Rows per parallel bucketization chunk. Fixed (never derived from the
-/// thread count) so the scan decomposition is budget-independent.
-const BUCKET_CHUNK: usize = 16_384;
 
 /// Re-export: the ST row type now lives in the `ldiv-api` contract crate
 /// (it is part of the anatomy publication payload); the old
@@ -51,10 +46,9 @@ pub use ldiv_api::SensitiveEntry;
 pub struct AnatomizedTable {
     /// The underlying l-diverse grouping.
     partition: Partition,
-    /// `group_of[row]` — QIT's group column.
-    group_of: Vec<u32>,
-    /// The sensitive table, sorted by `(group, value)`.
-    st: Vec<SensitiveEntry>,
+    /// The QIT's group column and the sensitive table, derived from the
+    /// grouping by [`AnatomyTables::from_partition`].
+    tables: AnatomyTables,
 }
 
 impl AnatomizedTable {
@@ -65,12 +59,12 @@ impl AnatomizedTable {
 
     /// The group id of a QIT row.
     pub fn group_of(&self, row: RowId) -> u32 {
-        self.group_of[row as usize]
+        self.tables.group_of[row as usize]
     }
 
-    /// The sensitive table.
+    /// The sensitive table, sorted by `(group, value)`.
     pub fn sensitive_table(&self) -> &[SensitiveEntry] {
-        &self.st
+        &self.tables.entries
     }
 
     /// Number of groups.
@@ -86,24 +80,22 @@ impl AnatomizedTable {
     /// Converts into the unified [`Publication`] (payload: the QIT group
     /// column plus the sensitive table).
     pub fn to_publication(&self) -> Publication {
-        Publication::new(
-            "anatomy",
-            self.partition.clone(),
-            Payload::Anatomy(AnatomyTables {
-                group_of: self.group_of.clone(),
-                entries: self.st.clone(),
-            }),
-        )
+        self.clone().into_publication()
+    }
+
+    fn into_publication(self) -> Publication {
+        Publication::new("anatomy", self.partition, Payload::Anatomy(self.tables))
     }
 
     /// Writes the QIT as CSV: the exact QI values plus a `GroupId` column
-    /// (no SA column — that is the whole point).
+    /// (no SA column — that is the whole point). Names and labels are
+    /// quoted where CSV needs it.
     pub fn write_qit_csv<W: Write>(&self, mut w: W, table: &Table) -> std::io::Result<()> {
         let schema = table.schema();
         let mut header: Vec<String> = schema
             .qi_attributes()
             .iter()
-            .map(|a| a.name().to_string())
+            .map(|a| escape_cell(a.name()))
             .collect();
         header.push("GroupId".into());
         writeln!(w, "{}", header.join(","))?;
@@ -111,7 +103,7 @@ impl AnatomizedTable {
             let mut cells: Vec<String> = qi
                 .iter()
                 .enumerate()
-                .map(|(i, &v)| schema.qi_attribute(i).label(v))
+                .map(|(i, &v)| escape_cell(&schema.qi_attribute(i).label(v)))
                 .collect();
             cells.push(self.group_of(row).to_string());
             writeln!(w, "{}", cells.join(","))?;
@@ -119,18 +111,14 @@ impl AnatomizedTable {
         Ok(())
     }
 
-    /// Writes the ST as CSV: `GroupId, <SA name>, Count`.
+    /// Writes the ST as CSV: `GroupId, <SA name>, Count`, the name and
+    /// labels quoted where CSV needs it.
     pub fn write_st_csv<W: Write>(&self, mut w: W, table: &Table) -> std::io::Result<()> {
-        let schema = table.schema();
-        writeln!(w, "GroupId,{},Count", schema.sensitive().name())?;
-        for e in &self.st {
-            writeln!(
-                w,
-                "{},{},{}",
-                e.group,
-                schema.sensitive().label(e.value),
-                e.count
-            )?;
+        let sa = table.schema().sensitive();
+        writeln!(w, "GroupId,{},Count", escape_cell(sa.name()))?;
+        for e in self.sensitive_table() {
+            let label = escape_cell(&sa.label(e.value));
+            writeln!(w, "{},{label},{}", e.group, e.count)?;
         }
         Ok(())
     }
@@ -140,22 +128,21 @@ impl AnatomizedTable {
 ///
 /// Bucketization: tuples are bucketed by SA value; while at least `l`
 /// buckets are non-empty, one tuple from each of the `l` fullest buckets
-/// forms a group (ties by SA id; tuples pop in row order for
-/// determinism); the ≤ `l − 1` leftovers join groups that keep accepting
-/// them. Fails when the table is not l-eligible.
+/// forms a group (ties by SA id; each bucket gives up its lowest row id
+/// first). This drain is [`SaBuckets::drain`], shared with the Hilbert
+/// baseline. The leftovers, which fill fewer than `l` buckets, are placed
+/// in SA order, each in the first group that stays l-eligible with it.
+/// Fails when the table is not l-eligible.
 pub fn anatomize(table: &Table, l: u32) -> Result<AnatomizedTable, MicrodataError> {
     anatomize_with(table, l, &Executor::default())
 }
 
-/// [`anatomize`] under an explicit thread budget.
-///
-/// The two scans that dominate large tables fan out over the executor:
-/// the initial SA bucketization (fixed-size row chunks merged in chunk
-/// order, so every bucket keeps ascending row order) and the per-group
-/// sensitive-table assembly (an ordered map over the final groups). The
-/// draining loop between them is inherently sequential — each round's
-/// "l fullest buckets" depends on every earlier round — and stays on
-/// the calling thread. Output is byte-identical for every budget.
+/// [`anatomize`] under an explicit executor, which carries only the
+/// run's deadline: it is checked before and after the drain. Every step
+/// runs on the calling thread (the drain is inherently sequential — each
+/// group's "`l` fullest buckets" depends on every earlier group — and
+/// the scans around it are linear), so the output is the same for every
+/// thread budget.
 pub fn anatomize_with(
     table: &Table,
     l: u32,
@@ -167,111 +154,53 @@ pub fn anatomize_with(
         ));
     }
     table.check_l_feasible(l)?;
-    let m = table.schema().sa_domain_size() as usize;
+    exec.checkpoint();
 
-    // Parallel bucketization: chunked scan, per-chunk mini-buckets,
-    // merged in chunk order. Chunks are contiguous ascending row ranges,
-    // so each merged bucket holds its rows in ascending row order —
-    // exactly the order the sequential scan produces.
-    let all_rows: Vec<RowId> = (0..table.len() as RowId).collect();
-    let scanned: Vec<Vec<Vec<RowId>>> = exec.map_chunks(&all_rows, BUCKET_CHUNK, |chunk| {
-        let mut mini: Vec<Vec<RowId>> = vec![Vec::new(); m];
-        for &row in chunk {
-            mini[table.sa_value(row) as usize].push(row);
-        }
-        mini
-    });
-    let mut buckets: Vec<VecDeque<RowId>> = vec![VecDeque::new(); m];
-    for mini in scanned {
-        for (v, rows) in mini.into_iter().enumerate() {
-            buckets[v].extend(rows); // consumed front-first: row order
-        }
-    }
+    let rows: Vec<RowId> = (0..table.len() as RowId).collect();
+    let mut buckets = SaBuckets::new(table, &rows, &vec![(); rows.len()]);
+    let mut groups: Vec<OpenGroup> = Vec::with_capacity(rows.len() / l as usize + 1);
+    let mut leftover = buckets.drain(l, |taken| groups.push(OpenGroup::of(taken)));
+    exec.checkpoint();
 
-    let mut groups: Vec<Vec<RowId>> = Vec::new();
-    loop {
-        let mut order: Vec<usize> = (0..m).filter(|&v| !buckets[v].is_empty()).collect();
-        if (order.len() as u32) < l {
-            break;
-        }
-        order.sort_by_key(|&v| (std::cmp::Reverse(buckets[v].len()), v));
-        order.truncate(l as usize);
-        let mut g: Vec<RowId> = order
-            .iter()
-            .map(|&v| buckets[v].pop_front().expect("chosen bucket non-empty"))
-            .collect();
-        g.sort_unstable();
-        groups.push(g);
-    }
-
-    // Residue assignment (Anatomy's "residue" step): each leftover joins a
-    // group currently lacking its value, largest leftover buckets first.
-    for (v, bucket) in buckets.iter_mut().enumerate() {
-        while let Some(row) = bucket.pop_front() {
-            let slot = groups.iter_mut().find(|g| {
-                let mut hist = SaHistogram::of_rows(table, g);
-                hist.add(v as Value);
-                hist.is_l_eligible(l)
-            });
-            match slot {
-                Some(g) => {
-                    g.push(row);
-                    g.sort_unstable();
+    // Residue assignment (Anatomy's "residue" step): leftover values in
+    // SA order, rows in row order; each row joins the first group that
+    // stays l-eligible with it. A group that turned a value down stays
+    // unchanged while that value's rows are placed, so the search for
+    // the next row of the same value resumes where the last one ended.
+    leftover.sort_unstable();
+    for v in leftover {
+        let mut from = 0;
+        while buckets.len(v) > 0 {
+            let ((), row) = buckets.take_first(v);
+            match groups[from..].iter().position(|g| g.accepts(v, l)) {
+                Some(i) => {
+                    from += i;
+                    groups[from].add(row, v);
                 }
                 None => {
                     // Unreachable for l-eligible inputs (the Anatomy
                     // residue lemma); keep a defensive group so the cover
                     // invariant holds, and let the final check reject it.
-                    groups.push(vec![row]);
+                    from = groups.len();
+                    groups.push(OpenGroup::of(&[(v, (), row)]));
                 }
             }
         }
     }
 
-    let partition = Partition::new_unchecked(groups);
-    // Per-group eligibility is independent — verify in parallel.
-    let eligible = exec
-        .map(partition.groups(), |g| {
-            SaHistogram::of_rows(table, g).is_l_eligible(l)
-        })
-        .into_iter()
-        .all(|ok| ok);
-    if !eligible {
+    let partition = Partition::new_unchecked(
+        groups
+            .into_iter()
+            .map(OpenGroup::into_sorted_rows)
+            .collect(),
+    );
+    if !partition.is_l_diverse(table, l) {
         return Err(MicrodataError::InvalidPartition(
             "anatomy bucketization failed to reach l-diversity".into(),
         ));
     }
-
-    // Per-group ST assembly fans out; group ids and the QIT group column
-    // are stamped sequentially in group order, so the ST is sorted by
-    // (group, value) exactly as the sequential build emits it.
-    let counts_per_group: Vec<Vec<(Value, u32)>> = exec.map(partition.groups(), |g| {
-        let mut counts: HashMap<Value, u32> = HashMap::new();
-        for &r in g {
-            *counts.entry(table.sa_value(r)).or_insert(0) += 1;
-        }
-        let mut entries: Vec<(Value, u32)> = counts.into_iter().collect();
-        entries.sort_unstable_by_key(|&(value, _)| value);
-        entries
-    });
-    let mut group_of = vec![0u32; table.len()];
-    let mut st = Vec::new();
-    for (gid, (g, entries)) in partition.groups().iter().zip(counts_per_group).enumerate() {
-        for &r in g {
-            group_of[r as usize] = gid as u32;
-        }
-        st.extend(entries.into_iter().map(|(value, count)| SensitiveEntry {
-            group: gid as u32,
-            value,
-            count,
-        }));
-    }
-
-    Ok(AnatomizedTable {
-        partition,
-        group_of,
-        st,
-    })
+    let tables = AnatomyTables::from_partition(table, &partition);
+    Ok(AnatomizedTable { partition, tables })
 }
 
 /// `KL(f, f*)` of Eq. (2) under anatomy's semantics: each published tuple
@@ -282,11 +211,7 @@ pub fn anatomize_with(
 /// ([`ldiv_metrics::kl_divergence_anatomy_tables`]); equivalent to
 /// `ldiv_metrics::kl_divergence(table, &published.to_publication())`.
 pub fn kl_divergence_anatomy(table: &Table, published: &AnatomizedTable) -> f64 {
-    let tables = AnatomyTables {
-        group_of: published.group_of.clone(),
-        entries: published.st.clone(),
-    };
-    ldiv_metrics::kl_divergence_anatomy_tables(table, &published.partition, &tables)
+    ldiv_metrics::kl_divergence_anatomy_tables(table, &published.partition, &published.tables)
 }
 
 /// Anatomy through the unified [`Mechanism`] trait (registry name
@@ -309,7 +234,7 @@ impl Mechanism for AnatomyMechanism {
         let published = anatomize_with(table, params.l, &exec)?;
         let groups = published.group_count();
         Ok(published
-            .to_publication()
+            .into_publication()
             .with_note(format!("{groups} anatomy groups, exact QIT")))
     }
 }
@@ -387,6 +312,69 @@ mod tests {
             .map(|l| l.rsplit(',').next().unwrap().parse::<u32>().unwrap())
             .sum();
         assert_eq!(total, 10);
+    }
+
+    #[test]
+    fn csv_outputs_quote_names_and_labels_that_need_it() {
+        use ldiv_microdata::{read_csv, Attribute, Schema, TableBuilder};
+        let labels = |ls: &[&str]| ls.iter().map(|l| l.to_string()).collect();
+        let schema = Schema::new(
+            vec![
+                Attribute::with_labels("home, city", labels(&["Paris, FR", "Oslo \"N\""])),
+                Attribute::with_labels("age", labels(&["30", "40"])),
+            ],
+            Attribute::with_labels("disease, \"kind\"", labels(&["cold, mild", "flu", "x"])),
+        )
+        .unwrap();
+        let mut b = TableBuilder::new(schema);
+        for i in 0..6u16 {
+            b.push_row(&[i % 2, i / 3], i % 3).unwrap();
+        }
+        let t = b.build();
+        let a = anatomize(&t, 3).unwrap();
+        let sa = t.schema().sensitive();
+
+        let mut qit = Vec::new();
+        a.write_qit_csv(&mut qit, &t).unwrap();
+        let back = read_csv(&qit[..], None).unwrap();
+        let names: Vec<&str> = back
+            .schema()
+            .qi_attributes()
+            .iter()
+            .map(|x| x.name())
+            .collect();
+        assert_eq!(names, ["home, city", "age"]);
+        assert_eq!(back.schema().sensitive().name(), "GroupId");
+        for (row, qi, group) in back.rows() {
+            for (i, &v) in qi.iter().enumerate() {
+                let label = back.schema().qi_attribute(i).label(v);
+                assert_eq!(label, t.schema().qi_attribute(i).label(t.qi_value(row, i)));
+            }
+            let group = back.schema().sensitive().label(group);
+            assert_eq!(group, a.group_of(row).to_string());
+        }
+
+        let mut st = Vec::new();
+        a.write_st_csv(&mut st, &t).unwrap();
+        let back = read_csv(&st[..], None).unwrap();
+        let names: Vec<&str> = back
+            .schema()
+            .qi_attributes()
+            .iter()
+            .map(|x| x.name())
+            .collect();
+        assert_eq!(names, ["GroupId", sa.name()]);
+        assert_eq!(back.len(), a.sensitive_table().len());
+        for ((_, qi, _), e) in back.rows().zip(a.sensitive_table()) {
+            assert_eq!(
+                back.schema().qi_attribute(0).label(qi[0]),
+                e.group.to_string()
+            );
+            assert_eq!(
+                back.schema().qi_attribute(1).label(qi[1]),
+                sa.label(e.value)
+            );
+        }
     }
 
     #[test]

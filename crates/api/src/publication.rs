@@ -2,7 +2,6 @@
 
 use crate::{LdivError, Recoding};
 use ldiv_microdata::{Partition, SaHistogram, SuppressedTable, Table, Value};
-use std::collections::HashMap;
 
 /// An inclusive range of domain codes `[lo, hi]` published for one
 /// attribute of one QI-group (multi-dimensional generalization).
@@ -55,26 +54,29 @@ pub struct AnatomyTables {
 }
 
 impl AnatomyTables {
-    /// Derives the QIT/ST pair from a grouping of a table.
+    /// Derives the QIT/ST pair from a grouping of a table: each group's
+    /// entries list its SA values ascending, counted in one dense buffer
+    /// that is reset after every group.
     pub fn from_partition(table: &Table, partition: &Partition) -> Self {
         let mut group_of = vec![0u32; table.len()];
         let mut entries = Vec::new();
+        let mut counts = vec![0u32; table.schema().sa_domain_size() as usize];
+        let mut values: Vec<Value> = Vec::new();
         for (gid, g) in partition.groups().iter().enumerate() {
-            let mut counts: HashMap<Value, u32> = HashMap::new();
             for &r in g {
                 group_of[r as usize] = gid as u32;
-                *counts.entry(table.sa_value(r)).or_insert(0) += 1;
+                let v = table.sa_value(r);
+                if counts[v as usize] == 0 {
+                    values.push(v);
+                }
+                counts[v as usize] += 1;
             }
-            let mut group_entries: Vec<SensitiveEntry> = counts
-                .into_iter()
-                .map(|(value, count)| SensitiveEntry {
-                    group: gid as u32,
-                    value,
-                    count,
-                })
-                .collect();
-            group_entries.sort_by_key(|e| e.value);
-            entries.extend(group_entries);
+            values.sort_unstable();
+            entries.extend(values.drain(..).map(|value| SensitiveEntry {
+                group: gid as u32,
+                value,
+                count: std::mem::take(&mut counts[value as usize]),
+            }));
         }
         AnatomyTables { group_of, entries }
     }

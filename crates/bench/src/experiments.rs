@@ -6,8 +6,9 @@ use crate::runner::{run_algo, Algo};
 use crate::service::{rollup_stages, stages_json};
 use ldiv_core::Phase;
 use ldiv_datagen::{occ, occ_schema, projection_sets, sal, sal_schema, sample_rows, AcsConfig};
-use ldiv_microdata::{Partition, RowId, SaHistogram, Table};
+use ldiv_microdata::{OpenGroup, Partition, RowId, SaBuckets, SaHistogram, Table};
 use ldiv_wire::Json;
+use std::cmp::Reverse;
 
 /// The two dataset families of the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -440,47 +441,40 @@ pub fn phase3_frequency(cfg: &HarnessConfig) -> Report {
 }
 
 /// A residue partitioner that ignores QI proximity entirely: frequency-
-/// balanced draining in arbitrary (row id) order. Ablation A3 contrasts it
-/// with the Hilbert-ordered refinement inside TP+.
+/// balanced draining in arbitrary order (each SA bucket gives up the row
+/// that came last in the residue first). Ablation A3 contrasts it with
+/// the Hilbert-ordered refinement inside TP+.
 struct ArbitraryOrderResidue;
 
 impl ldiv_core::ResiduePartitioner for ArbitraryOrderResidue {
-    fn partition_residue(&self, table: &Table, residue: &[RowId], l: u32) -> Partition {
-        let m = table.schema().sa_domain_size() as usize;
-        let mut buckets: Vec<Vec<RowId>> = vec![Vec::new(); m];
-        for &r in residue {
-            buckets[table.sa_value(r) as usize].push(r);
-        }
-        let mut groups: Vec<Vec<RowId>> = Vec::new();
-        loop {
-            let mut order: Vec<usize> = (0..m).filter(|&v| !buckets[v].is_empty()).collect();
-            if (order.len() as u32) < l {
-                break;
-            }
-            order.sort_by_key(|&v| (std::cmp::Reverse(buckets[v].len()), v));
-            order.truncate(l as usize);
-            let mut g = Vec::with_capacity(l as usize);
-            for &v in &order {
-                g.push(buckets[v].pop().expect("non-empty bucket"));
-            }
-            groups.push(g);
-        }
+    fn partition_residue(
+        &self,
+        table: &Table,
+        residue: &[RowId],
+        l: u32,
+        _: &ldiversity::Executor,
+    ) -> Partition {
+        let last_first: Vec<Reverse<usize>> = (0..residue.len()).map(Reverse).collect();
+        let mut buckets = SaBuckets::new(table, residue, &last_first);
+        let mut groups: Vec<OpenGroup> = Vec::new();
+        let mut leftover = buckets.drain(l, |taken| groups.push(OpenGroup::of(taken)));
         // Leftovers: append to any group where the value still fits.
-        for (v, bucket) in buckets.iter_mut().enumerate() {
-            while let Some(r) = bucket.pop() {
-                let slot = groups.iter_mut().find(|g| {
-                    let mut hist = SaHistogram::of_rows(table, g);
-                    hist.add(v as u16);
-                    hist.is_l_eligible(l)
-                });
-                match slot {
-                    Some(g) => g.push(r),
-                    None => groups.push(vec![r]), // verified (and rejected) upstream
+        leftover.sort_unstable();
+        for v in leftover {
+            while buckets.len(v) > 0 {
+                let (_, r) = buckets.take_first(v);
+                match groups.iter_mut().find(|g| g.accepts(v, l)) {
+                    Some(g) => g.add(r, v),
+                    None => groups.push(OpenGroup::of(&[(v, (), r)])), // verified (and rejected) upstream
                 }
             }
         }
-        groups.retain(|g| !g.is_empty());
-        Partition::new_unchecked(groups)
+        Partition::new_unchecked(
+            groups
+                .into_iter()
+                .map(OpenGroup::into_sorted_rows)
+                .collect(),
+        )
     }
 
     fn name(&self) -> &'static str {

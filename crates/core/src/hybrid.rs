@@ -14,31 +14,23 @@ use ldiv_microdata::{Partition, RowId, SuppressedTable, Table};
 
 /// Strategy for splitting the residue set into smaller l-eligible groups.
 pub trait ResiduePartitioner {
-    /// Partitions `residue` (row ids into `table`) into l-eligible groups.
+    /// Partitions `residue` (row ids into `table`) into l-eligible groups
+    /// under the run's executor.
     ///
     /// Implementations must return a partition of exactly the given rows;
     /// every group must be l-eligible. Outputs violating either condition
     /// are rejected by [`anonymize`], which then falls back to the
-    /// single-group residue.
-    fn partition_residue(&self, table: &Table, residue: &[RowId], l: u32) -> Partition;
-
-    /// [`partition_residue`](ResiduePartitioner::partition_residue)
-    /// under an explicit thread budget. The default ignores the executor
-    /// (correct for inherently sequential strategies); parallel
-    /// implementations override it and must keep the output identical
-    /// for every budget — [`anonymize_with`] passes the run's budget
-    /// here, so this is what makes `--threads` reach the `tp+` residue
-    /// phase.
-    fn partition_residue_with(
+    /// single-group residue. A strategy that fans out over `exec` must
+    /// return the same partition for every thread budget; a sequential
+    /// one ignores it. [`anonymize_with`] passes the run's executor here,
+    /// which is how `--threads` reaches the `tp+` residue phase.
+    fn partition_residue(
         &self,
         table: &Table,
         residue: &[RowId],
         l: u32,
         exec: &Executor,
-    ) -> Partition {
-        let _ = exec;
-        self.partition_residue(table, residue, l)
-    }
+    ) -> Partition;
 
     /// A short name for reports and benches.
     fn name(&self) -> &'static str {
@@ -52,7 +44,13 @@ pub trait ResiduePartitioner {
 pub struct SingleGroupResidue;
 
 impl ResiduePartitioner for SingleGroupResidue {
-    fn partition_residue(&self, _table: &Table, residue: &[RowId], _l: u32) -> Partition {
+    fn partition_residue(
+        &self,
+        _table: &Table,
+        residue: &[RowId],
+        _l: u32,
+        _exec: &Executor,
+    ) -> Partition {
         if residue.is_empty() {
             Partition::default()
         } else {
@@ -117,7 +115,7 @@ pub fn anonymize_with<P: ResiduePartitioner>(
     let mut fell_back = false;
 
     if !tp.residue.is_empty() {
-        let sub = partitioner.partition_residue_with(table, &tp.residue, l, exec);
+        let sub = partitioner.partition_residue(table, &tp.residue, l, exec);
         if residue_partition_ok(table, &tp.residue, &sub, l) {
             partition.extend(sub);
         } else {
@@ -187,7 +185,13 @@ mod tests {
     struct PairUp;
 
     impl ResiduePartitioner for PairUp {
-        fn partition_residue(&self, table: &Table, residue: &[RowId], l: u32) -> Partition {
+        fn partition_residue(
+            &self,
+            table: &Table,
+            residue: &[RowId],
+            l: u32,
+            _: &Executor,
+        ) -> Partition {
             assert_eq!(l, 2);
             let mut rows: Vec<RowId> = residue.to_vec();
             rows.sort_by_key(|&r| table.sa_value(r));
@@ -213,7 +217,13 @@ mod tests {
     struct Lossy;
 
     impl ResiduePartitioner for Lossy {
-        fn partition_residue(&self, _t: &Table, residue: &[RowId], _l: u32) -> Partition {
+        fn partition_residue(
+            &self,
+            _: &Table,
+            residue: &[RowId],
+            _: u32,
+            _: &Executor,
+        ) -> Partition {
             Partition::new_unchecked(vec![vec![residue[0]]])
         }
     }
@@ -257,7 +267,7 @@ mod tests {
     fn empty_residue_never_calls_partitioner() {
         struct Panicky;
         impl ResiduePartitioner for Panicky {
-            fn partition_residue(&self, _: &Table, _: &[RowId], _: u32) -> Partition {
+            fn partition_residue(&self, _: &Table, _: &[RowId], _: u32, _: &Executor) -> Partition {
                 panic!("must not be called for empty residue");
             }
         }

@@ -3,54 +3,17 @@
 use crate::curve::HilbertCurve;
 use ldiv_core::ResiduePartitioner;
 use ldiv_exec::Executor;
-use ldiv_microdata::{Partition, RowId, SuppressedTable, Table, Value};
-use std::cmp::Reverse;
+use ldiv_microdata::{OpenGroup, Partition, RowId, SaBuckets, SuppressedTable, Table, Value};
 
 /// Rows per parallel indexing chunk. Fixed (never derived from the
 /// thread count) so the work decomposition is budget-independent.
 const INDEX_CHUNK: usize = 8_192;
 
-/// One group being assembled: its rows, an SA multiplicity sketch and its
-/// span on the curve (for nearest-group queries during leftover
-/// assignment).
-struct OpenGroup {
-    rows: Vec<RowId>,
-    /// `(sa, count)` pairs — groups hold ~l distinct values, so a compact
-    /// vector beats a dense histogram.
-    sa_counts: Vec<(Value, u32)>,
+/// One group being assembled, with its span on the curve (for
+/// nearest-group queries during leftover assignment).
+struct CurveGroup {
+    group: OpenGroup,
     center: u128,
-}
-
-impl OpenGroup {
-    fn count(&self, v: Value) -> u32 {
-        self.sa_counts
-            .iter()
-            .find(|&&(s, _)| s == v)
-            .map_or(0, |&(_, c)| c)
-    }
-
-    fn add(&mut self, row: RowId, v: Value) {
-        self.rows.push(row);
-        match self.sa_counts.iter_mut().find(|(s, _)| *s == v) {
-            Some((_, c)) => *c += 1,
-            None => self.sa_counts.push((v, 1)),
-        }
-    }
-
-    /// Whether adding one `v` tuple keeps the group l-eligible:
-    /// `l · (h(G, v) + 1) ≤ |G| + 1` — adding can only raise the pillar
-    /// through `v` itself.
-    fn accepts(&self, v: Value, l: u32) -> bool {
-        let new_count = (self.count(v) + 1) as u64;
-        let max_other = self
-            .sa_counts
-            .iter()
-            .filter(|&&(s, _)| s != v)
-            .map(|&(_, c)| c as u64)
-            .max()
-            .unwrap_or(0);
-        l as u64 * new_count.max(max_other) <= self.rows.len() as u64 + 1
-    }
 }
 
 /// Where a table's QI vectors land on one Hilbert curve.
@@ -104,60 +67,6 @@ impl TableCurve {
     }
 }
 
-/// Every SA value's rows in one flat array, each bucket sorted on
-/// `(curve index, row)` and taken from its front.
-struct Buckets {
-    /// `(curve index, row)`, bucket after bucket in SA order: bucket `v`
-    /// ends at `end[v]` and starts where bucket `v − 1` ends.
-    slots: Vec<(u128, RowId)>,
-    /// Bucket `v`'s first untaken slot: its untaken rows are
-    /// `slots[head[v]..end[v]]`.
-    head: Vec<usize>,
-    end: Vec<usize>,
-}
-
-impl Buckets {
-    fn new(table: &Table, rows: &[RowId], indices: &[u128]) -> Self {
-        let m = table.schema().sa_domain_size() as usize;
-        let mut end = vec![0; m];
-        for &r in rows {
-            end[table.sa_value(r) as usize] += 1;
-        }
-        let mut at = 0;
-        for e in &mut end {
-            at += *e;
-            *e = at;
-        }
-        let mut head = end.clone();
-        let mut slots = vec![(0, 0); rows.len()];
-        for (&r, &h) in rows.iter().zip(indices).rev() {
-            let v = table.sa_value(r) as usize;
-            head[v] -= 1;
-            slots[head[v]] = (h, r);
-        }
-        for (&s, &e) in head.iter().zip(&end) {
-            slots[s..e].sort_unstable();
-        }
-        Buckets { slots, head, end }
-    }
-
-    /// Untaken rows in bucket `v`.
-    fn len(&self, v: usize) -> usize {
-        self.end[v] - self.head[v]
-    }
-
-    /// Bucket `v`'s earliest untaken row on the curve.
-    fn first(&self, v: usize) -> (u128, RowId) {
-        self.slots[self.head[v]]
-    }
-
-    fn take_first(&mut self, v: usize) -> (u128, RowId) {
-        let first = self.first(v);
-        self.head[v] += 1;
-        first
-    }
-}
-
 /// Partitions the given rows of a table into l-eligible groups that are
 /// compact along the Hilbert curve over the QI space.
 ///
@@ -178,90 +87,51 @@ pub fn hilbert_partition(table: &Table, rows: &[RowId], l: u32) -> Partition {
 /// draining itself is inherently sequential (each group depends on what
 /// earlier groups consumed).
 ///
-/// Each SA value's rows sit in one flat array sorted on `(curve index,
-/// row)`, and a group takes each chosen bucket's first untaken row:
-/// `O(1)` per take. The non-empty SA values stay sorted by `(rows left
-/// desc, SA asc)` across groups; a group takes one row from each of the
-/// first `l`, so only those `l` entries move right. Grouping `n` rows
-/// costs `O(n log n)` to index and sort, plus `O(l)` per group and the
-/// moves, instead of a re-sort of all `m` buckets per group.
+/// Each SA value's rows sit in [`SaBuckets`] keyed on the curve index,
+/// and [`SaBuckets::drain`] forms the groups: `O(n log n)` to index and
+/// sort, plus `O(l)` per group and the moves of the fullest-first order.
 pub fn hilbert_partition_with(table: &Table, rows: &[RowId], l: u32, exec: &Executor) -> Partition {
     assert!(l >= 1, "l must be positive");
     if rows.is_empty() {
         return Partition::default();
     }
     let indices = TableCurve::of(table).indices(table, rows, exec);
-    let mut buckets = Buckets::new(table, rows, &indices);
-    let l = l as usize;
-
-    let mut groups: Vec<OpenGroup> = Vec::with_capacity(rows.len() / l + 1);
+    let mut buckets = SaBuckets::new(table, rows, &indices);
+    let mut groups: Vec<CurveGroup> = Vec::with_capacity(rows.len() / l as usize + 1);
 
     // Frequency-balanced draining: while at least l buckets are non-empty,
-    // form one group from the l fullest (ties by SA id), which lead
-    // `order`.
-    let m = buckets.end.len();
-    let mut order: Vec<usize> = (0..m).filter(|&v| buckets.len(v) > 0).collect();
-    order.sort_unstable_by_key(|&v| (Reverse(buckets.len(v)), v));
-    while order.len() >= l {
-        // Seed: the earliest remaining tuple (on the curve) in the chosen
-        // buckets; then take each bucket's tuple nearest the seed. Every
-        // remaining tuple of a chosen bucket lies at or after the seed,
-        // so the nearest is the bucket's first.
-        let seed = order[..l]
+    // form one group from the l fullest (ties by SA id). Seed: the
+    // earliest remaining tuple (on the curve) in the chosen buckets; then
+    // take each bucket's tuple nearest the seed. Every remaining tuple of
+    // a chosen bucket lies at or after the seed, so the nearest is the
+    // bucket's first, which is what the drain takes.
+    let leftover = buckets.drain(l, |taken| {
+        let seed = taken
             .iter()
-            .map(|&v| buckets.first(v))
+            .map(|&(_, h, r)| (h, r))
             .min()
             .expect("l ≥ 1 buckets chosen");
-        let mut group = OpenGroup {
-            rows: Vec::with_capacity(l),
-            sa_counts: Vec::with_capacity(l),
-            center: seed.0,
-        };
-        for &v in &order[..l] {
-            let (h, r) = buckets.take_first(v);
-            group.add(r, v as Value);
-            group.center = group.center / 2 + h / 2; // running midpoint
-        }
-        groups.push(group);
-
-        // Each chosen bucket lost one row. They keep their order among
-        // themselves, so move each, last first, right past the buckets
-        // that now outrank it; emptied buckets sink to the end.
-        let key = |v: usize| (Reverse(buckets.len(v)), v);
-        for i in (0..l).rev() {
-            let v = order[i];
-            let mut j = i;
-            while let Some(&w) = order.get(j + 1) {
-                if key(w) > key(v) {
-                    break;
-                }
-                order[j] = w;
-                j += 1;
-            }
-            order[j] = v;
-        }
-        while order.last().is_some_and(|&v| buckets.len(v) == 0) {
-            order.pop();
-        }
-    }
+        let center = taken.iter().fold(seed.0, |c, &(_, h, _)| c / 2 + h / 2); // running midpoint
+        groups.push(CurveGroup {
+            group: OpenGroup::of(taken),
+            center,
+        });
+    });
 
     // Leftover assignment: fewer than l non-empty buckets remain. Attach
     // each leftover tuple to the nearest group that stays l-eligible,
     // fullest buckets first.
     let mut unplaced: Vec<(u128, RowId, Value)> = Vec::new();
-    for v in order {
+    for v in leftover {
         while buckets.len(v) > 0 {
             let (h, r) = buckets.take_first(v);
             let best = groups
                 .iter_mut()
-                .filter(|g| g.accepts(v as Value, l as u32))
-                .min_by_key(|g| {
-                    let c = g.center;
-                    c.abs_diff(h)
-                });
+                .filter(|g| g.group.accepts(v, l))
+                .min_by_key(|g| g.center.abs_diff(h));
             match best {
-                Some(g) => g.add(r, v as Value),
-                None => unplaced.push((h, r, v as Value)),
+                Some(g) => g.group.add(r, v),
+                None => unplaced.push((h, r, v)),
             }
         }
     }
@@ -271,28 +141,19 @@ pub fn hilbert_partition_with(table: &Table, rows: &[RowId], l: u32, exec: &Exec
     // keep them together as their own trailing group. The callers verify
     // overall eligibility and fall back as needed.
     if !unplaced.is_empty() {
-        let center = unplaced[0].0;
-        let mut g = OpenGroup {
-            rows: Vec::new(),
-            sa_counts: Vec::new(),
-            center,
-        };
+        let mut group = OpenGroup::default();
         for (_, r, v) in unplaced {
-            g.add(r, v);
+            group.add(r, v);
         }
-        groups.push(g);
+        groups.push(CurveGroup { group, center: 0 });
     }
 
-    let mut out: Vec<Vec<RowId>> = groups
-        .into_iter()
-        .map(|g| {
-            let mut rows = g.rows;
-            rows.sort_unstable();
-            rows
-        })
-        .collect();
-    out.retain(|g| !g.is_empty());
-    Partition::new_unchecked(out)
+    Partition::new_unchecked(
+        groups
+            .into_iter()
+            .map(|g| g.group.into_sorted_rows())
+            .collect(),
+    )
 }
 
 /// The given rows in the order the curve visits them: sorted on
@@ -335,11 +196,7 @@ pub(crate) fn hilbert_publish_with(
 pub struct HilbertResidue;
 
 impl ResiduePartitioner for HilbertResidue {
-    fn partition_residue(&self, table: &Table, residue: &[RowId], l: u32) -> Partition {
-        hilbert_partition(table, residue, l)
-    }
-
-    fn partition_residue_with(
+    fn partition_residue(
         &self,
         table: &Table,
         residue: &[RowId],
@@ -406,7 +263,7 @@ mod tests {
             seed: 7,
         });
         let rows: Vec<RowId> = (0..500).collect();
-        let a = HilbertResidue.partition_residue(&t, &rows, 3);
+        let a = HilbertResidue.partition_residue(&t, &rows, 3, &Executor::sequential());
         let b = hilbert_partition(&t, &rows, 3);
         assert_eq!(a.groups(), b.groups());
         assert_eq!(HilbertResidue.name(), "hilbert");

@@ -27,13 +27,16 @@
 //! bucket's earliest. The ≤ `l − 1` leftover tuples are attached to the
 //! nearest group that stays l-eligible.
 //!
-//! The buckets live in one flat array, each sorted on `(curve index,
-//! row)` and taken from its front, so a take is `O(1)`. The non-empty SA
-//! values stay sorted by `(rows left desc, SA asc)` from group to group:
-//! a group takes one row from each of the first `l`, so only those `l`
-//! entries move right. Grouping `n` rows costs `O(n log n)` to index and
-//! sort plus `O(l)` per group and the moves, with no per-group re-sort of
-//! the `m` buckets.
+//! The buckets and the drain are `ldiv_microdata`'s [`SaBuckets`], the
+//! ones Anatomy drains too: one flat array, each bucket sorted on
+//! `(curve index, row)` and taken from its front, so a take is `O(1)`,
+//! and the non-empty SA values kept sorted by `(rows left desc, SA asc)`
+//! from group to group. Grouping `n` rows costs `O(n log n)` to index
+//! and sort plus `O(l)` per group and the moves, with no per-group
+//! re-sort of the `m` buckets. The leftover policy, nearest centre on
+//! the curve, is this crate's own.
+//!
+//! [`SaBuckets`]: ldiv_microdata::SaBuckets
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -372,8 +372,11 @@ pub fn split_csv_line(line: &str) -> Vec<String> {
     cells
 }
 
-/// Quotes a cell when it needs quoting.
-fn escape_cell(cell: &str) -> String {
+/// A label or header name as one CSV cell: quoted, with each `"`
+/// doubled, when it holds a comma or a quote, so [`split_csv_line`]
+/// reads it back as the same text. Every CSV writer in the workspace
+/// renders its cells through it.
+pub fn escape_cell(cell: &str) -> String {
     if cell.contains(',') || cell.contains('"') {
         format!("\"{}\"", cell.replace('"', "\"\""))
     } else {
@@ -501,16 +504,20 @@ fn code_with_schema(
     })
 }
 
+/// The escaped attribute names, QI attributes first, then the SA.
+fn header(schema: &Schema) -> Vec<String> {
+    schema
+        .qi_attributes()
+        .iter()
+        .chain(std::iter::once(schema.sensitive()))
+        .map(|a| escape_cell(a.name()))
+        .collect()
+}
+
 /// Writes a table as CSV with labelled cells.
 pub fn write_table_csv<W: Write>(mut w: W, table: &Table) -> std::io::Result<()> {
     let schema = table.schema();
-    let mut header: Vec<String> = schema
-        .qi_attributes()
-        .iter()
-        .map(|a| a.name().to_string())
-        .collect();
-    header.push(schema.sensitive().name().to_string());
-    writeln!(w, "{}", header.join(","))?;
+    writeln!(w, "{}", header(schema).join(","))?;
     for (_, qi, sa) in table.rows() {
         let mut cells: Vec<String> = qi
             .iter()
@@ -532,13 +539,7 @@ pub fn write_generalized_csv<W: Write>(
 ) -> std::io::Result<()> {
     let schema = table.schema();
     let d = table.dimensionality();
-    let mut header: Vec<String> = schema
-        .qi_attributes()
-        .iter()
-        .map(|a| a.name().to_string())
-        .collect();
-    header.push(schema.sensitive().name().to_string());
-    writeln!(w, "{}", header.join(","))?;
+    writeln!(w, "{}", header(schema).join(","))?;
 
     // Source-row order: build row -> group index once.
     let mut owner = vec![usize::MAX; table.len()];
@@ -660,6 +661,56 @@ mod tests {
             &[("a", &["x", "y"]), ("sa", &["p", "q"])],
             &[&[0, 0], &[1, 1], &[0, 1]],
         )
+    }
+
+    /// Names and labels holding commas and quotes.
+    fn punctuated_table() -> Table {
+        labelled(
+            &[
+                ("home, city", &["Paris, FR", "Oslo \"N\"", "Rome"]),
+                ("age", &["30", "40"]),
+                ("disease", &["cold, mild", "flu", "\"a\", b"]),
+            ],
+            &[&[0, 0, 0], &[1, 1, 1], &[2, 0, 2], &[0, 1, 1], &[1, 0, 0]],
+        )
+    }
+
+    /// Every attribute's name, then every row's labels.
+    fn texts(t: &Table) -> Vec<Vec<String>> {
+        let schema = t.schema();
+        let attrs: Vec<&Attribute> = schema
+            .qi_attributes()
+            .iter()
+            .chain(std::iter::once(schema.sensitive()))
+            .collect();
+        let mut out = vec![attrs.iter().map(|a| a.name().to_string()).collect()];
+        for (_, qi, sa) in t.rows() {
+            let row = qi.iter().chain(std::iter::once(&sa));
+            out.push(attrs.iter().zip(row).map(|(a, &v)| a.label(v)).collect());
+        }
+        out
+    }
+
+    #[test]
+    fn writers_quote_names_and_labels_that_need_it() {
+        let t = punctuated_table();
+        let mut buf = Vec::new();
+        write_table_csv(&mut buf, &t).unwrap();
+        assert!(buf.starts_with(b"\"home, city\",age,disease\n\"Paris, FR\",30,\"cold, mild\"\n"));
+        assert_eq!(parse(&buf), Ok(t.clone()));
+
+        let p = Partition::new(vec![vec![0, 3], vec![1, 2, 4]]).unwrap();
+        let mut buf = Vec::new();
+        write_generalized_csv(&mut buf, &t, &t.generalize(&p)).unwrap();
+        // Group {0, 3} keeps its city and stars its ages; group {1, 2, 4}
+        // stars both.
+        let mut expected = texts(&t);
+        for (row, starred) in [(0, 1..2), (3, 1..2), (1, 0..2), (2, 0..2), (4, 0..2)] {
+            for a in starred {
+                expected[row + 1][a] = STAR.to_string();
+            }
+        }
+        assert_eq!(texts(&read_csv(&buf[..], None).unwrap()), expected);
     }
 
     #[test]

@@ -20,6 +20,10 @@
 //!   not uniform is replaced by a star.
 //! * [`is_l_eligible`] and friends implement Definition 2 together with the
 //!   monotonicity property (Lemma 1) used throughout the algorithms.
+//! * [`SaBuckets`] and [`OpenGroup`] are the frequency-balanced drain that
+//!   the Hilbert baseline and Anatomy group rows with: while at least `l`
+//!   SA buckets hold rows, one group takes a row from each of the `l`
+//!   fullest.
 //!
 //! # Quick example
 //!
@@ -42,6 +46,7 @@
 #![warn(rust_2018_idioms)]
 
 mod csvio;
+mod drain;
 mod eligibility;
 mod error;
 mod fingerprint;
@@ -52,7 +57,10 @@ pub mod samples;
 mod schema;
 mod table;
 
-pub use csvio::{read_csv, read_csv_with, split_csv_line, write_generalized_csv, write_table_csv};
+pub use csvio::{
+    escape_cell, read_csv, read_csv_with, split_csv_line, write_generalized_csv, write_table_csv,
+};
+pub use drain::{OpenGroup, SaBuckets};
 pub use eligibility::{is_l_eligible, l_eligible_histogram, max_l_for, SaHistogram};
 pub use error::MicrodataError;
 pub use fingerprint::Fnv1a;

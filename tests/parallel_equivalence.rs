@@ -13,8 +13,8 @@
 //! the sequential (`threads = 1`) run, unsharded and through a 2-way
 //! sharded stitch. The table is big enough that the parallel paths
 //! actually engage: Mondrian's fork threshold (4 096 rows per subtree),
-//! the 4 096-point KL chunking, the 8 192-row Hilbert index chunks and
-//! the 16 384-row anatomy scan chunks are all crossed.
+//! the 4 096-point KL chunking and the 8 192-row Hilbert index chunks
+//! are all crossed.
 
 use ldiversity::datagen::{sal, AcsConfig};
 use ldiversity::metrics::kl_divergence_with;
