@@ -82,6 +82,7 @@ impl<K: Ord + Copy + Default> SaBuckets<K> {
     pub fn drain(&mut self, l: u32, mut group: impl FnMut(&[(Value, K, RowId)])) -> Vec<Value> {
         assert!(l >= 1, "l must be positive");
         let l = l as usize;
+        // Bucket indices as `usize`: `m` may be `Value::MAX + 1`.
         let m = self.end.len();
         let mut order: Vec<usize> = (0..m).filter(|&v| self.left(v) > 0).collect();
         order.sort_unstable_by_key(|&v| (Reverse(self.left(v)), v));
@@ -244,6 +245,18 @@ mod tests {
         assert_eq!(b.take_first(0), (7, 0));
         assert_eq!(b.take_first(0), (7, 2));
         assert_eq!(b.len(0), 0);
+    }
+
+    #[test]
+    fn the_widest_sa_domain_drains() {
+        let t = table(&[Value::MAX, 0, 7], 1 << 16);
+        let mut b = SaBuckets::new(&t, &[0, 1, 2], &[(); 3]);
+        let mut groups = Vec::new();
+        let left = b.drain(2, |g| {
+            groups.push(g.iter().map(|&(v, _, _)| v).collect::<Vec<_>>())
+        });
+        assert_eq!(groups, vec![vec![0, 7]]);
+        assert_eq!(left, vec![Value::MAX]);
     }
 
     #[test]
