@@ -259,16 +259,6 @@ mod tests {
         assert_eq!(left, vec![Value::MAX]);
     }
 
-    #[test]
-    fn accepts_is_eligibility_after_the_add() {
-        let mut g = OpenGroup::of(&[(0, (), 0), (1, (), 1)]);
-        assert!(g.accepts(2, 3));
-        assert!(!g.accepts(0, 2));
-        g.add(2, 2);
-        assert!(g.accepts(0, 2));
-        assert_eq!(g.into_sorted_rows(), vec![0, 1, 2]);
-    }
-
     proptest! {
         /// The in-place order forms the groups a full re-sort per group
         /// forms, and leaves the same buckets in the same order.
