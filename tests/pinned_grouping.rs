@@ -16,10 +16,11 @@
 //!   of every row and every sensitive-table entry; `anatomy@<threads>`
 //!   folds the same two tables from the publication's payload.
 //!
-//! The tables are SAL/OCC projections and seeded tables with a skewed
-//! SA column, on which the drain leaves rows for the leftover step. A
-//! change to any grouping loop that alters one of them, however
-//! slightly, changes a digest.
+//! The tables are SAL/OCC projections, seeded tables with a skewed SA
+//! column, on which the drain leaves rows for the leftover step, and
+//! seeded tables whose Hilbert curve has axes of 9–16 bits or is cut to
+//! `⌊128/d⌋` bits per axis. A change to any grouping loop that alters
+//! one of them, however slightly, changes a digest.
 
 use ldiversity::anatomy::anatomize_with;
 use ldiversity::api::{AnatomyTables, Payload};
@@ -223,6 +224,33 @@ fn digests() -> Vec<String> {
             lines.push(format!("skew{} d={d} {kind} {digest:016x}", i + 1));
         }
     }
+    // Curves the SAL/OCC projections never reach. `wide1`: a domain of
+    // 4 000 labels, so each axis has 12 bits and a coordinate spans two
+    // bytes. `wide2`: 9 axes that need 16 bits, cut to ⌊128/9⌋ = 14.
+    // `wide3`: 20 axes that need 7 bits, cut to 6. `wide4`: 8 axes of
+    // 16 bits, an index that fills all 128 bits.
+    let wide_tables = [
+        skewed(5, 1_200, &[300, 40, 4_000], &[3, 2, 2, 1, 1]),
+        skewed(
+            6,
+            900,
+            &[60_000, 9, 700, 60_000, 5, 3, 40_000, 2, 60_000],
+            &[2, 2, 1, 1],
+        ),
+        skewed(7, 800, &[100; 20], &[4, 3, 2, 1, 1, 1]),
+        skewed(
+            8,
+            700,
+            &[50_000, 65_536, 3, 50_000, 1_000, 65_536, 7, 50_000],
+            &[3, 3, 2, 2, 1],
+        ),
+    ];
+    for (i, table) in wide_tables.iter().enumerate() {
+        for (kind, digest) in table_digests(table, &registry) {
+            let d = table.dimensionality();
+            lines.push(format!("wide{} d={d} {kind} {digest:016x}", i + 1));
+        }
+    }
     lines
 }
 
@@ -231,7 +259,9 @@ fn digests() -> Vec<String> {
 /// and built a `Group` for every one-row QI-group (TP). The `anatomy`
 /// lines and the `skew` tables were added later, generated by the
 /// Anatomy loop that re-sorted every SA bucket for each group and built
-/// its sensitive table from a `HashMap` per group.
+/// its sensitive table from a `HashMap` per group. The `wide` tables were
+/// added later again, generated by the encoder that indexed one row at a
+/// time, one coordinate bit per step.
 const PINNED: &str = "\
 sal d=1 tp 463f004092cbc5b6
 sal d=1 hilbert a3f863b1a4709c31
@@ -413,6 +443,66 @@ skew4 d=2 mondrian@2 9d0faf66c2b6bf87
 skew4 d=2 anatomy@1 89f3d6879bf63b9b
 skew4 d=2 anatomy@2 89f3d6879bf63b9b
 skew4 d=2 anatomy 1b28ebf52ec11b93
+wide1 d=3 tp 4d5ab95e1f22f15b
+wide1 d=3 hilbert 7f1dd020e40bab0b
+wide1 d=3 hilbert-residue ebb6110ba1fa3840
+wide1 d=3 mondrian a43afa3238f4e871
+wide1 d=3 tp@1 b18d9e8bc389c5c8
+wide1 d=3 tp@2 b18d9e8bc389c5c8
+wide1 d=3 tp+@1 10151db92883215f
+wide1 d=3 tp+@2 10151db92883215f
+wide1 d=3 hilbert@1 8442bff8f217cb31
+wide1 d=3 hilbert@2 8442bff8f217cb31
+wide1 d=3 mondrian@1 77cc01ecd6974b1d
+wide1 d=3 mondrian@2 77cc01ecd6974b1d
+wide1 d=3 anatomy@1 267e0bfe0ac48797
+wide1 d=3 anatomy@2 267e0bfe0ac48797
+wide1 d=3 anatomy 6ed206149c7a4af6
+wide2 d=9 tp 73019828d051e75d
+wide2 d=9 hilbert b1204dddc37e4cbd
+wide2 d=9 hilbert-residue 63b49de41c60b990
+wide2 d=9 mondrian 02660f4e10331401
+wide2 d=9 tp@1 4fc423b612642584
+wide2 d=9 tp@2 4fc423b612642584
+wide2 d=9 tp+@1 7cef6b6f318a2fa6
+wide2 d=9 tp+@2 7cef6b6f318a2fa6
+wide2 d=9 hilbert@1 3e5266afb89d1b33
+wide2 d=9 hilbert@2 3e5266afb89d1b33
+wide2 d=9 mondrian@1 e262cfe5e5fade7d
+wide2 d=9 mondrian@2 e262cfe5e5fade7d
+wide2 d=9 anatomy@1 4b62c3573ca0f6aa
+wide2 d=9 anatomy@2 4b62c3573ca0f6aa
+wide2 d=9 anatomy 57ad8d93c9a518da
+wide3 d=20 tp 7f685e96eb629cbc
+wide3 d=20 hilbert 8ff95fcf7a0f8f84
+wide3 d=20 hilbert-residue b3518fc076b39b62
+wide3 d=20 mondrian 8924a4ff26a39651
+wide3 d=20 tp@1 54633c00e392c798
+wide3 d=20 tp@2 54633c00e392c798
+wide3 d=20 tp+@1 2b9addfe4eac009e
+wide3 d=20 tp+@2 2b9addfe4eac009e
+wide3 d=20 hilbert@1 dfc2c4341300b226
+wide3 d=20 hilbert@2 dfc2c4341300b226
+wide3 d=20 mondrian@1 bae46d8835338f39
+wide3 d=20 mondrian@2 bae46d8835338f39
+wide3 d=20 anatomy@1 e4c0861c3c3838d1
+wide3 d=20 anatomy@2 e4c0861c3c3838d1
+wide3 d=20 anatomy 0f5f1194dc29211d
+wide4 d=8 tp 9aa0fec0363171c6
+wide4 d=8 hilbert a8f744aebbfb6be0
+wide4 d=8 hilbert-residue 8edec31fbe369829
+wide4 d=8 mondrian 0d0961fb2f704149
+wide4 d=8 tp@1 d7a10d3b7ba681e1
+wide4 d=8 tp@2 d7a10d3b7ba681e1
+wide4 d=8 tp+@1 94c4bf34304a22cb
+wide4 d=8 tp+@2 94c4bf34304a22cb
+wide4 d=8 hilbert@1 c03687fde6357937
+wide4 d=8 hilbert@2 c03687fde6357937
+wide4 d=8 mondrian@1 659281eb54f2a2eb
+wide4 d=8 mondrian@2 659281eb54f2a2eb
+wide4 d=8 anatomy@1 02fd678618799c8c
+wide4 d=8 anatomy@2 02fd678618799c8c
+wide4 d=8 anatomy 615b97c8028ee78e
 ";
 
 #[test]
