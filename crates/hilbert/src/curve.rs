@@ -1,20 +1,75 @@
 //! d-dimensional Hilbert curve encoding.
 //!
 //! Implements John Skilling's transpose algorithm (*Programming the Hilbert
-//! curve*, AIP 2004): axes are converted in place to the "transposed" Gray
-//! code representation of the Hilbert index, which is then bit-interleaved
-//! into a single integer. Works for any dimensionality `d ≥ 1` and
-//! per-axis precision `b` with `d · b ≤ 128`.
+//! curve*, AIP 2004) for any dimensionality `d ≥ 1` and per-axis precision
+//! `1 ≤ b ≤ 16` with `d · b ≤ 128`: coordinates are converted into the
+//! "transposed" Gray code form of the Hilbert index, whose bits are then
+//! interleaved into one integer.
+//!
+//! # One encoder, eight points at a time
+//!
+//! [`HilbertCurve::index_lanes`] is the only forward transform. It indexes
+//! [`HilbertCurve::LANES`] points per call, one lane per point: each axis is
+//! a `[u32; LANES]`, so every step is one operation on eight independent
+//! words, which the compiler vectorizes for the baseline x86-64 target
+//! without `unsafe` or a target feature. Skilling's branches on coordinate
+//! bits become masks:
+//!
+//! - the inverse undo, for bit `q` (with `p = q − 1`) and axis `i`:
+//!   `set = 0 − ((x_i & q) ≠ 0)`, `t = (x_0 ^ x_i) & p & !set`,
+//!   `x_0 ^= (p & set) | t`, `x_i ^= t`;
+//! - after the Gray encode, the correction every axis takes is the suffix
+//!   parity of `x_{d−1} >> 1`: an xor-fold by 1, 2, 4 and 8, because an
+//!   axis holds at most 16 bits;
+//! - the interleave looks each byte of a coordinate up in a per-curve table
+//!   that spreads its bits to stride `d`: one lookup per byte instead of
+//!   `d · b` one-bit shifts.
+//!
+//! The lanes are where the time goes: without them, the same branch-free
+//! steps run one point at a time and save little over the branching
+//! encoder. [`HilbertCurve::index_of`] and [`HilbertCurve::index_into`]
+//! run the kernel with one live lane.
+//!
+//! # The decoder is the reference
+//!
+//! [`HilbertCurve::point_of`] is Skilling's TransposeToAxes, kept one bit
+//! at a time as he wrote it. It exactly inverts the original
+//! one-point encoder, so `point_of(index(x)) == x` for every point `x`
+//! shows that the kernel computes that encoder's index, bit for bit; the
+//! tests check it for every `(d, b)` a table can produce.
+
+use std::fmt;
 
 /// A Hilbert curve over a `d`-dimensional grid of side `2^bits`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct HilbertCurve {
     dims: usize,
     bits: u32,
+    /// `spread[v]` holds bit `t` of the byte `v` at bit `t · dims`, for
+    /// every `t < min(8, bits)`: one coordinate byte interleaved.
+    spread: Box<[u128; 256]>,
+}
+
+impl fmt::Debug for HilbertCurve {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("HilbertCurve")
+            .field("dims", &self.dims)
+            .field("bits", &self.bits)
+            .finish_non_exhaustive()
+    }
+}
+
+/// All ones where `bits` is non-zero, per lane.
+#[inline]
+fn mask(bits: u32) -> u32 {
+    0u32.wrapping_sub(u32::from(bits != 0))
 }
 
 impl HilbertCurve {
-    /// Creates a curve. Panics unless `1 ≤ dims`, `1 ≤ bits` and
+    /// Points indexed by one call of [`Self::index_lanes`].
+    pub const LANES: usize = 8;
+
+    /// Creates a curve. Panics unless `1 ≤ dims`, `1 ≤ bits ≤ 16` and
     /// `dims · bits ≤ 128`.
     pub fn new(dims: usize, bits: u32) -> Self {
         assert!(dims >= 1, "need at least one dimension");
@@ -23,7 +78,14 @@ impl HilbertCurve {
             dims as u32 * bits <= 128,
             "index does not fit in 128 bits (dims = {dims}, bits = {bits})"
         );
-        HilbertCurve { dims, bits }
+        assert!(bits <= 16, "an axis holds at most 16 bits (bits = {bits})");
+        let mut spread = Box::new([0u128; 256]);
+        for (v, s) in spread.iter_mut().enumerate() {
+            for t in 0..bits.min(8) as usize {
+                *s |= ((v >> t) as u128 & 1) << (t * dims);
+            }
+        }
+        HilbertCurve { dims, bits, spread }
     }
 
     /// Number of dimensions.
@@ -54,21 +116,45 @@ impl HilbertCurve {
     /// index.
     pub fn index_into(&self, axes: &mut [u32]) -> u128 {
         assert_eq!(axes.len(), self.dims, "coordinate arity mismatch");
-        for &a in axes.iter() {
-            debug_assert!(a < (1u64 << self.bits) as u32, "coordinate out of range");
+        let mut buffer = [[0u32; Self::LANES]; 128];
+        let lanes = &mut buffer[..self.dims];
+        for (lane, &a) in lanes.iter_mut().zip(axes.iter()) {
+            lane[0] = a;
         }
-        if self.dims == 1 {
-            // Degenerate curve: the identity ordering.
-            return axes[0] as u128;
+        let index = self.index_lanes(lanes)[0];
+        for (a, lane) in axes.iter_mut().zip(lanes.iter()) {
+            *a = lane[0];
         }
-        self.axes_to_transpose(axes);
+        index
+    }
+
+    /// The Hilbert indices of [`Self::LANES`] points at once: `axes[i][k]`
+    /// is coordinate `i` of point `k`, and lane `k` of the result is that
+    /// point's index. Each coordinate must be below `2^bits`. Leaves
+    /// `axes` in Skilling's transposed form.
+    pub fn index_lanes(&self, axes: &mut [[u32; Self::LANES]]) -> [u128; Self::LANES] {
+        assert_eq!(axes.len(), self.dims, "coordinate arity mismatch");
+        debug_assert!(
+            axes.iter().flatten().all(|&a| a >> self.bits == 0),
+            "coordinate out of range"
+        );
+        if self.dims > 1 {
+            // A one-dimensional curve is the identity ordering.
+            self.axes_to_transpose(axes);
+        }
         self.interleave(axes)
     }
 
     /// Maps a Hilbert index back to grid coordinates — the inverse of
     /// [`Self::index_of`].
     pub fn point_of(&self, index: u128) -> Vec<u32> {
-        debug_assert!(index < self.cells(), "index out of range");
+        debug_assert!(
+            matches!(
+                index.checked_shr(self.dims as u32 * self.bits),
+                None | Some(0)
+            ),
+            "index out of range"
+        );
         if self.dims == 1 {
             return vec![index as u32];
         }
@@ -122,52 +208,74 @@ impl HilbertCurve {
         x
     }
 
-    /// Skilling's AxesToTranspose: converts coordinates in place into the
-    /// transposed Hilbert index.
-    fn axes_to_transpose(&self, x: &mut [u32]) {
+    /// Skilling's AxesToTranspose on every lane: converts coordinates in
+    /// place into the transposed Hilbert index, with masks in place of
+    /// branches on coordinate bits.
+    fn axes_to_transpose(&self, x: &mut [[u32; Self::LANES]]) {
         let n = self.dims;
-        let m = 1u32 << (self.bits - 1);
 
-        // Inverse undo.
-        let mut q = m;
+        // Inverse undo: where bit q of x_i is set, invert the low bits of
+        // x_0; elsewhere exchange the low bits of x_0 and x_i. The axes
+        // are copied into locals so that the compiler keeps x_0 in
+        // registers and vectorizes across the lanes.
+        let (x0, rest) = x.split_first_mut().expect("at least one axis");
+        let mut a = *x0;
+        let mut q = 1u32 << (self.bits - 1);
         while q > 1 {
             let p = q - 1;
-            for i in 0..n {
-                if x[i] & q != 0 {
-                    x[0] ^= p; // invert
-                } else {
-                    let t = (x[0] ^ x[i]) & p;
-                    x[0] ^= t;
-                    x[i] ^= t;
+            for v in a.iter_mut() {
+                *v ^= p & mask(*v & q);
+            }
+            for xi in rest.iter_mut() {
+                let mut b = *xi;
+                for (a, b) in a.iter_mut().zip(b.iter_mut()) {
+                    let set = mask(*b & q);
+                    let t = (*a ^ *b) & p & !set;
+                    *a ^= (p & set) | t;
+                    *b ^= t;
                 }
+                *xi = b;
             }
             q >>= 1;
         }
+        *x0 = a;
 
         // Gray encode.
         for i in 1..n {
-            x[i] ^= x[i - 1];
-        }
-        let mut t = 0u32;
-        let mut q = m;
-        while q > 1 {
-            if x[n - 1] & q != 0 {
-                t ^= q - 1;
+            let prev = x[i - 1];
+            for (v, p) in x[i].iter_mut().zip(prev) {
+                *v ^= p;
             }
-            q >>= 1;
+        }
+        // Bit j of the correction is the parity of bits j + 1 and up of
+        // x_{n−1}, which holds at most 16 bits.
+        let mut t = x[n - 1].map(|v| v >> 1);
+        for step in [1, 2, 4, 8] {
+            for v in t.iter_mut() {
+                *v ^= *v >> step;
+            }
         }
         for xi in x.iter_mut() {
-            *xi ^= t;
+            for (v, c) in xi.iter_mut().zip(t) {
+                *v ^= c;
+            }
         }
     }
 
-    /// Interleaves the transposed form into a single index, most significant
-    /// bit plane first.
-    fn interleave(&self, x: &[u32]) -> u128 {
-        let mut h: u128 = 0;
-        for j in (0..self.bits).rev() {
-            for &xi in x {
-                h = (h << 1) | ((xi >> j) & 1) as u128;
+    /// Interleaves the transposed form into one index per lane, most
+    /// significant bit plane first and axis 0 first within a plane: bit
+    /// `j` of axis `i` lands on bit `j · d + (d − 1 − i)`.
+    fn interleave(&self, x: &[[u32; Self::LANES]]) -> [u128; Self::LANES] {
+        let mut h = [0u128; Self::LANES];
+        // The high byte exists only past 8 bits, where `8 · d < 128`.
+        let high = (self.bits > 8).then_some(8 * self.dims as u32);
+        for xi in x {
+            for (h, &v) in h.iter_mut().zip(xi) {
+                let mut s = self.spread[(v & 0xff) as usize];
+                if let Some(shift) = high {
+                    s |= self.spread[((v >> 8) & 0xff) as usize] << shift;
+                }
+                *h = *h << 1 | s;
             }
         }
         h
@@ -282,5 +390,72 @@ mod tests {
     #[should_panic(expected = "128 bits")]
     fn oversized_curve_rejected() {
         HilbertCurve::new(8, 17);
+    }
+
+    #[test]
+    #[should_panic(expected = "16 bits")]
+    fn axes_wider_than_a_code_rejected() {
+        HilbertCurve::new(2, 17);
+    }
+
+    /// The kernel is the encoder that the decoder inverts: for every curve
+    /// a table can produce, `point_of` recovers each lane's point from its
+    /// index, on random batches and on the all-zero and all-max points.
+    #[test]
+    fn decode_inverts_the_kernel_on_every_curve() {
+        const LANES: usize = HilbertCurve::LANES;
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as u32
+        };
+        for dims in 1..=128usize {
+            for bits in 1..=(128 / dims as u32).min(16) {
+                let curve = HilbertCurve::new(dims, bits);
+                let max = u32::MAX >> (32 - bits);
+                let mut batches = vec![vec![[0; LANES]; dims], vec![[max; LANES]; dims]];
+                for _ in 0..4 {
+                    let random = (0..dims)
+                        .map(|_| std::array::from_fn(|_| next() & max))
+                        .collect();
+                    batches.push(random);
+                }
+                for points in batches {
+                    let indices = curve.index_lanes(&mut points.clone());
+                    for (k, &h) in indices.iter().enumerate() {
+                        let point: Vec<u32> = points.iter().map(|axis| axis[k]).collect();
+                        assert_eq!(curve.point_of(h), point, "dims={dims} bits={bits}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// `index_into` leaves its argument in the transposed form: the
+    /// index's bit planes, split back out.
+    #[test]
+    fn index_into_leaves_the_transposed_form() {
+        for (dims, bits) in [(1usize, 5u32), (3, 4), (7, 12)] {
+            let c = HilbertCurve::new(dims, bits);
+            let mut axes: Vec<u32> = (0..dims as u32)
+                .map(|i| (i * 37 + 5) % (1 << bits))
+                .collect();
+            let h = c.index_into(&mut axes);
+            assert_eq!(axes, c.deinterleave(h), "dims={dims} bits={bits}");
+        }
+    }
+
+    /// At `d · b = 128` the index fills a `u128` and `cells()` saturates:
+    /// the last cell, `u128::MAX`, is a valid index all the same.
+    #[test]
+    fn first_and_last_cells_of_full_width_curves_round_trip() {
+        for (dims, bits) in [(8usize, 16u32), (16, 8), (128, 1)] {
+            let c = HilbertCurve::new(dims, bits);
+            for h in [0, u128::MAX] {
+                assert_eq!(c.index_of(&c.point_of(h)), h, "dims={dims} bits={bits}");
+            }
+        }
     }
 }

@@ -48,20 +48,24 @@ impl TableCurve {
     }
 
     /// The curve index of every row, in `rows` order. The indexing fans
-    /// out over fixed-size chunks; each index is a pure function of its
-    /// row.
+    /// out over fixed-size chunks and runs [`HilbertCurve::LANES`] rows
+    /// per call of the encoder. A chunk's last, short batch fills its
+    /// unused lanes with its first row and keeps only its real rows'
+    /// indices, so each index is a pure function of its row.
     fn indices(&self, table: &Table, rows: &[RowId], exec: &Executor) -> Vec<u128> {
         exec.map_chunks(rows, INDEX_CHUNK, |chunk| {
-            let mut axes = vec![0u32; self.curve.dims()];
-            chunk
-                .iter()
-                .map(|&r| {
-                    for (a, &v) in axes.iter_mut().zip(table.qi_row(r)) {
-                        *a = u32::from(v) >> self.shift;
+            let mut lanes = vec![[0u32; HilbertCurve::LANES]; self.curve.dims()];
+            let mut out = Vec::with_capacity(chunk.len());
+            for batch in chunk.chunks(HilbertCurve::LANES) {
+                for k in 0..HilbertCurve::LANES {
+                    let row = table.qi_row(*batch.get(k).unwrap_or(&batch[0]));
+                    for (lane, &v) in lanes.iter_mut().zip(row) {
+                        lane[k] = u32::from(v) >> self.shift;
                     }
-                    self.curve.index_into(&mut axes)
-                })
-                .collect::<Vec<u128>>()
+                }
+                out.extend_from_slice(&self.curve.index_lanes(&mut lanes)[..batch.len()]);
+            }
+            out
         })
         .concat()
     }
@@ -329,6 +333,37 @@ mod tests {
             let hybrid = ldiv_core::anonymize(&t, 2, &HilbertResidue).unwrap();
             assert!(!hybrid.fell_back);
             validate(&t, &hybrid.partition, 2);
+        }
+    }
+
+    /// The batched indexing is `index_of` row by row, in `rows` order:
+    /// empty, short, full and overfull batches, a chunk boundary and a
+    /// scattered subset, at one and two threads.
+    #[test]
+    fn indices_match_index_of_row_by_row() {
+        let n = INDEX_CHUNK + 3;
+        let tables = [
+            sal(&AcsConfig { rows: n, seed: 11 }),
+            wide_table(20, 100, n as u32),
+        ];
+        let scattered: Vec<RowId> = (0..n as RowId).rev().filter(|r| r % 3 != 1).collect();
+        for table in &tables {
+            let curve = TableCurve::of(table);
+            let index_of = |r: RowId| {
+                let axes: Vec<u32> = table.qi_row(r)[..curve.curve.dims()]
+                    .iter()
+                    .map(|&v| u32::from(v) >> curve.shift)
+                    .collect();
+                curve.curve.index_of(&axes)
+            };
+            let prefixes = [0, 1, 7, 8, 9, n].map(|len| (0..len as RowId).collect::<Vec<_>>());
+            for rows in prefixes.iter().chain([&scattered]) {
+                let want: Vec<u128> = rows.iter().map(|&r| index_of(r)).collect();
+                for threads in [1, 2] {
+                    let got = curve.indices(table, rows, &Executor::new(threads));
+                    assert_eq!(got, want, "{} rows, threads = {threads}", rows.len());
+                }
+            }
         }
     }
 
