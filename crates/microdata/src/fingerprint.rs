@@ -110,6 +110,24 @@ mod tests {
         assert_eq!(t.clone().fingerprint(), t.fingerprint());
     }
 
+    /// The memo changes neither equality nor the value: a clone made
+    /// before the first call, and one made after it, equal the table and
+    /// report its hash.
+    #[test]
+    fn a_clone_equals_its_table_whether_or_not_the_memo_is_filled() {
+        let t = samples::hospital();
+        let early = t.clone();
+        assert_eq!(early, t);
+        let hashed = t.fingerprint();
+        assert_eq!(hashed, hash_table(&t));
+        let late = t.clone();
+        assert_eq!(early, t);
+        assert_eq!(late, t);
+        assert_eq!(early.fingerprint(), hashed);
+        assert_eq!(late.fingerprint(), hashed);
+        assert_eq!(t.select_rows(&[0, 1]), early.select_rows(&[0, 1]));
+    }
+
     #[test]
     fn any_cell_schema_or_order_change_moves_the_fingerprint() {
         let t = samples::hospital();

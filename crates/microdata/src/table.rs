@@ -3,20 +3,34 @@ use crate::generalize::SuppressedTable;
 use crate::partition::Partition;
 use crate::{MicrodataError, RowId, Schema, Value};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// An immutable microdata table: `n` rows over a [`Schema`].
 ///
 /// Storage is flat and row-major: the QI block is a single `n × d` buffer so
 /// a row's QI vector is one contiguous slice, and the SA column is separate
 /// because the algorithms scan it independently.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Two tables are equal when their schemas and cells are; whether either
+/// has computed its [fingerprint](Self::fingerprint) yet does not matter.
+#[derive(Debug, Clone)]
 pub struct Table {
     schema: Schema,
     /// Row-major `n × d` QI codes.
     qi: Vec<Value>,
     /// `n` SA codes.
     sa: Vec<Value>,
+    /// [`Self::fingerprint`], filled by its first call.
+    fingerprint: OnceLock<u64>,
 }
+
+impl PartialEq for Table {
+    fn eq(&self, other: &Self) -> bool {
+        self.schema == other.schema && self.qi == other.qi && self.sa == other.sa
+    }
+}
+
+impl Eq for Table {}
 
 impl Table {
     /// Number of rows (the paper's `n`).
@@ -80,8 +94,13 @@ impl Table {
     /// Stable across processes and platforms, so it can key caches that
     /// outlive the table object. Any change to a cell, an attribute
     /// name/domain/label, or the row order changes the digest.
+    ///
+    /// The table is hashed once, by the first call; later calls, and
+    /// clones made after it, return the stored value.
     pub fn fingerprint(&self) -> u64 {
-        crate::fingerprint::hash_table(self)
+        *self
+            .fingerprint
+            .get_or_init(|| crate::fingerprint::hash_table(self))
     }
 
     /// Histogram of the SA column over the whole table.
@@ -164,6 +183,7 @@ impl Table {
             schema,
             qi,
             sa: self.sa.clone(),
+            fingerprint: OnceLock::new(),
         })
     }
 
@@ -181,6 +201,7 @@ impl Table {
             schema: self.schema.clone(),
             qi,
             sa,
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -277,6 +298,7 @@ impl TableBuilder {
             schema: self.schema,
             qi: self.qi,
             sa: self.sa,
+            fingerprint: OnceLock::new(),
         }
     }
 }

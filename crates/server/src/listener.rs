@@ -1110,12 +1110,11 @@ fn publication_key(dataset: u64, mechanism: &dyn Mechanism, params: &Params) -> 
 fn run_cached(
     state: &AppState,
     table: &Table,
-    fingerprint: u64,
     name: &str,
     params: &Params,
 ) -> Result<Served, LdivError> {
     let mechanism = state.registry.get_or_unknown(name)?;
-    let key = publication_key(fingerprint, mechanism, params);
+    let key = publication_key(table.fingerprint(), mechanism, params);
     serve_publication(state, "anonymize", &key, params, || {
         // The sharding driver honours `params.shards` (a mechanism alone
         // would not); with a resolved count of 1 this is `anonymize`
@@ -1227,7 +1226,7 @@ fn anonymize_route(state: &AppState, req: &Request) -> Result<Served, LdivError>
     // a structured error — 500 / 504 — never a dead worker.
     guarded("anonymize", || {
         let table = table_from(state, req, &params)?;
-        run_cached(state, &table, table.fingerprint(), name, &params)
+        run_cached(state, &table, name, &params)
     })
 }
 
@@ -1263,8 +1262,7 @@ fn sweep_route(state: &AppState, req: &Request) -> Result<Json, LdivError> {
                 scope.spawn(move || {
                     ldiv_obs::with_context(trace_ctx, || {
                         match guarded(&format!("sweep:{name}"), || {
-                            run_cached(state, table, fingerprint, name, &params)
-                                .map(|served| served.summary)
+                            run_cached(state, table, name, &params).map(|served| served.summary)
                         }) {
                             Ok(summary) => summary,
                             Err(e) => {
