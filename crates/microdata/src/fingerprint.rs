@@ -125,7 +125,11 @@ mod tests {
         assert_eq!(late, t);
         assert_eq!(early.fingerprint(), hashed);
         assert_eq!(late.fingerprint(), hashed);
-        assert_eq!(t.select_rows(&[0, 1]), early.select_rows(&[0, 1]));
+        // A derived table hashes its own cells, not its source's.
+        let sub = t.select_rows(&[0, 1]);
+        assert_eq!(sub.fingerprint(), hash_table(&sub));
+        let projected = t.project(&[0]).unwrap();
+        assert_eq!(projected.fingerprint(), hash_table(&projected));
     }
 
     #[test]
