@@ -20,8 +20,12 @@ pub struct Table {
     qi: Vec<Value>,
     /// `n` SA codes.
     sa: Vec<Value>,
-    /// [`Self::fingerprint`], filled by its first call.
-    fingerprint: OnceLock<u64>,
+    /// [`Self::fingerprint`], filled by its first call. Boxed so that
+    /// `Table` holds no `UnsafeCell` itself: a `&Table` argument then
+    /// stays `noalias readonly` to the optimizer, which can keep the cell
+    /// buffers' pointers and lengths in registers through every loop
+    /// that reads them.
+    fingerprint: Box<OnceLock<u64>>,
 }
 
 impl PartialEq for Table {
@@ -183,7 +187,7 @@ impl Table {
             schema,
             qi,
             sa: self.sa.clone(),
-            fingerprint: OnceLock::new(),
+            fingerprint: Box::default(),
         })
     }
 
@@ -201,7 +205,7 @@ impl Table {
             schema: self.schema.clone(),
             qi,
             sa,
-            fingerprint: OnceLock::new(),
+            fingerprint: Box::default(),
         }
     }
 
@@ -298,7 +302,7 @@ impl TableBuilder {
             schema: self.schema,
             qi: self.qi,
             sa: self.sa,
-            fingerprint: OnceLock::new(),
+            fingerprint: Box::default(),
         }
     }
 }
