@@ -33,7 +33,7 @@
 //! # The decoder is the reference
 //!
 //! [`HilbertCurve::point_of`] is Skilling's TransposeToAxes, kept one bit
-//! at a time as he wrote it. It exactly inverts the original
+//! at a time as the paper writes it. It exactly inverts the original
 //! one-point encoder, so `point_of(index(x)) == x` for every point `x`
 //! shows that the kernel computes that encoder's index, bit for bit; the
 //! tests check it for every `(d, b)` a table can produce.
@@ -59,7 +59,7 @@ impl fmt::Debug for HilbertCurve {
     }
 }
 
-/// All ones where `bits` is non-zero, per lane.
+/// All ones if `bits` is non-zero, else zero.
 #[inline]
 fn mask(bits: u32) -> u32 {
     0u32.wrapping_sub(u32::from(bits != 0))

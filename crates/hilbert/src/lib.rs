@@ -7,7 +7,8 @@
 //! as the residue refiner inside the hybrid ("TP+"). This crate provides:
 //!
 //! * [`HilbertCurve`] — a from-scratch d-dimensional Hilbert encoder
-//!   (Skilling's transpose algorithm), the spatial substrate;
+//!   (Skilling's transpose algorithm, eight points per call), the
+//!   spatial substrate;
 //! * [`HilbertMechanism`] and [`tp_plus_mechanism`] — the unified-API
 //!   faces of this crate (`ldiv_api::Mechanism`), registered as
 //!   `"hilbert"` and `"tp+"` in the workspace registry;
