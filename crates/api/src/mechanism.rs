@@ -41,8 +41,8 @@ pub trait Mechanism: Send + Sync {
     ///
     /// The default rebuilds each standard payload from the repaired
     /// partition (fresh stars, tight boxes, re-derived QIT/ST, joined
-    /// recoding — see [`repair`](crate::repair)); mechanisms with
-    /// sharper invariants can override it.
+    /// recoding — see [`repair`](crate::repair)). Every mechanism in the
+    /// workspace stitches through it; none overrides it.
     ///
     /// [`Recoding::join`]: crate::Recoding::join
     fn repair_merge(

@@ -30,10 +30,9 @@
 //! every induced group is l-eligible, and publishes exactly those
 //! induced groups as the partition.
 //!
-//! [`stitch_publications`] is the engine behind the default
-//! [`Mechanism::repair_merge`](crate::Mechanism::repair_merge);
-//! mechanisms with sharper invariants can override the trait method and
-//! still call back into the pieces here.
+//! [`stitch_publications`] is the engine behind
+//! [`Mechanism::repair_merge`](crate::Mechanism::repair_merge), and no
+//! mechanism overrides it: all six stitch through this module.
 
 use crate::{AttrRange, LdivError, Params, Payload, Publication, Recoding};
 use ldiv_microdata::{Partition, RowId, SaHistogram, Table};
@@ -102,30 +101,36 @@ pub fn repair_eligibility(
     Ok((repaired, merges))
 }
 
-/// Per-group tightest covering ranges — the boxes-payload grouping
-/// invariant (each attribute published as the min..max of the group's
-/// values), recomputed over the full table. Public because the
-/// incremental publisher (`ldiv-store`) rebuilds boxes-kind placeholder
-/// payloads for reloaded shard results before handing them to the
-/// stitch (which rebuilds them again over the full table).
+/// The tightest covering range of each attribute over `rows` — the
+/// boxes-payload grouping invariant (each attribute published as the
+/// min..max of the group's values). `rows` must not be empty. The one
+/// box loop of the workspace: [`tight_boxes`] maps it over a partition,
+/// and so does Mondrian's `BoxTable`.
+pub fn tight_box(table: &Table, rows: &[RowId]) -> Vec<AttrRange> {
+    let mut ranges: Vec<AttrRange> = table
+        .qi_row(rows[0])
+        .iter()
+        .map(|&v| AttrRange { lo: v, hi: v })
+        .collect();
+    for &r in &rows[1..] {
+        for (range, &v) in ranges.iter_mut().zip(table.qi_row(r)) {
+            range.lo = range.lo.min(v);
+            range.hi = range.hi.max(v);
+        }
+    }
+    ranges
+}
+
+/// Per-group tightest covering ranges ([`tight_box`] of every group),
+/// recomputed over the full table. Public because the incremental
+/// publisher (`ldiv-store`) rebuilds boxes-kind placeholder payloads for
+/// reloaded shard results before handing them to the stitch (which
+/// rebuilds them again over the full table).
 pub fn tight_boxes(table: &Table, partition: &Partition) -> Vec<Vec<AttrRange>> {
     partition
         .groups()
         .iter()
-        .map(|g| {
-            let mut ranges: Vec<AttrRange> = table
-                .qi_row(g[0])
-                .iter()
-                .map(|&v| AttrRange { lo: v, hi: v })
-                .collect();
-            for &r in &g[1..] {
-                for (range, &v) in ranges.iter_mut().zip(table.qi_row(r)) {
-                    range.lo = range.lo.min(v);
-                    range.hi = range.hi.max(v);
-                }
-            }
-            ranges
-        })
+        .map(|g| tight_box(table, g))
         .collect()
 }
 
@@ -178,7 +183,12 @@ pub fn stitch_publications(
         )));
     }
 
-    let (partition, merges) = repaired_partition(table, &shards, params.l)?;
+    let groups: Vec<Vec<RowId>> = shards
+        .iter()
+        .flat_map(|p| p.partition().groups().iter().cloned())
+        .collect();
+    let (repaired, merges) = repair_eligibility(table, groups, params.l)?;
+    let partition = Partition::new_unchecked(repaired);
     let group_count = partition.group_count();
     let publication = match first.payload() {
         Payload::Suppressed(_) => Publication::suppressed(name, table, partition),
@@ -189,12 +199,14 @@ pub fn stitch_publications(
         }
         Payload::Recoded(_) => unreachable!("recoded payloads returned above"),
     };
-    Ok(publication.with_note(stitch_note(shard_count, group_count, merges)))
+    Ok(publication.with_note(format!(
+        "stitched {shard_count} shards: {group_count} groups, {merges} eligibility-repair merges"
+    )))
 }
 
-/// The stitch-guard shared by [`stitch_publications`] and overriding
-/// mechanisms: the shard list must be non-empty and payload-uniform.
-/// Returns the first publication (the payload-kind witness).
+/// The stitch guard: the shard list must be non-empty and
+/// payload-uniform. Returns the first publication (the payload-kind
+/// witness).
 fn check_shards(shards: &[Publication]) -> Result<&Publication, LdivError> {
     let Some(first) = shards.first() else {
         return Err(LdivError::Internal("stitching zero shards".into()));
@@ -209,40 +221,6 @@ fn check_shards(shards: &[Publication]) -> Result<&Publication, LdivError> {
         )));
     }
     Ok(first)
-}
-
-/// The partition half of the stitch skeleton, shared with mechanisms
-/// that override [`Mechanism::repair_merge`] only to rebuild their
-/// payload differently (Mondrian): guards the shard list
-/// (non-empty, payload-uniform), concatenates the per-shard partitions
-/// in shard order and repairs l-eligibility. Returns the repaired
-/// partition and the merge count for [`stitch_note`].
-///
-/// Not meaningful for recoded payloads — their repair goes through the
-/// recoding itself (see the module docs).
-///
-/// [`Mechanism::repair_merge`]: crate::Mechanism::repair_merge
-pub fn repaired_partition(
-    table: &Table,
-    shards: &[Publication],
-    l: u32,
-) -> Result<(Partition, usize), LdivError> {
-    check_shards(shards)?;
-    let groups: Vec<Vec<RowId>> = shards
-        .iter()
-        .flat_map(|p| p.partition().groups().iter().cloned())
-        .collect();
-    let (repaired, merges) = repair_eligibility(table, groups, l)?;
-    Ok((Partition::new_unchecked(repaired), merges))
-}
-
-/// The canonical stitch note — one format for every mechanism, so
-/// overriding a payload rebuild cannot silently diverge the diagnostic
-/// surface from the default stitch.
-pub fn stitch_note(shard_count: usize, group_count: usize, merges: usize) -> String {
-    format!(
-        "stitched {shard_count} shards: {group_count} groups, {merges} eligibility-repair merges"
-    )
 }
 
 /// Coarsens a recoding until every group it induces over `table` is

@@ -1,6 +1,6 @@
 //! Range-generalized publications and the §6.2 transformation.
 
-use ldiv_api::{Payload, Publication};
+use ldiv_api::{repair, Payload, Publication};
 use ldiv_exec::Executor;
 use ldiv_microdata::{Partition, RowId, SaHistogram, SuppressedTable, Table};
 
@@ -48,20 +48,9 @@ impl BoxTable {
     /// out as an ordered parallel map (same group order for any budget).
     pub fn from_partition_with(table: &Table, partition: &Partition, exec: &Executor) -> BoxTable {
         let d = table.dimensionality();
-        let groups = exec.map(partition.groups(), |g| {
-            let first = table.qi_row(g[0]);
-            let mut ranges: Vec<AttrRange> =
-                first.iter().map(|&v| AttrRange { lo: v, hi: v }).collect();
-            for &r in &g[1..] {
-                for (range, &v) in ranges.iter_mut().zip(table.qi_row(r)) {
-                    range.lo = range.lo.min(v);
-                    range.hi = range.hi.max(v);
-                }
-            }
-            BoxGroup {
-                ranges,
-                rows: g.clone(),
-            }
+        let groups = exec.map(partition.groups(), |g| BoxGroup {
+            ranges: repair::tight_box(table, g),
+            rows: g.clone(),
         });
         BoxTable {
             dimensionality: d,

@@ -2,7 +2,7 @@
 
 use crate::boxes::BoxTable;
 use crate::mondrian::mondrian_partition_with;
-use ldiv_api::{repair, LdivError, Mechanism, Params, Publication};
+use ldiv_api::{LdivError, Mechanism, Params, Publication};
 use ldiv_microdata::Table;
 
 /// l-diversity-gated Mondrian through the unified [`Mechanism`] trait
@@ -40,40 +40,6 @@ impl Mechanism for MondrianMechanism {
         publication.push_note(format!("{splits} median splits, imprecision {imprecision}"));
         Ok(publication)
     }
-
-    /// Same stitch as the trait default (concatenate, repair
-    /// eligibility, publish tight boxes), but the covering ranges are
-    /// recomputed through [`BoxTable::from_partition_with`] so the
-    /// rebuild fans out on the run's thread budget — on a sharded
-    /// nightly-scale table the box pass is the stitch's hot loop.
-    fn repair_merge(
-        &self,
-        table: &Table,
-        params: &Params,
-        shards: Vec<Publication>,
-    ) -> Result<Publication, LdivError> {
-        // `repaired_partition` carries the default stitch's guards
-        // (non-empty, payload-uniform) and its merge policy; this
-        // override only swaps in the parallel box rebuild. The kind
-        // check rejects a uniform-but-foreign payload the uniformity
-        // guard alone would accept — before any repair work is spent
-        // on an input that can never succeed (an empty list falls
-        // through to the default "stitching zero shards" error).
-        if !shards
-            .iter()
-            .all(|p| matches!(p.payload(), ldiv_api::Payload::Boxes(_)))
-        {
-            return Err(LdivError::Internal(format!(
-                "'{}' expects boxes payloads from every shard",
-                self.name()
-            )));
-        }
-        let (partition, merges) = repair::repaired_partition(table, &shards, params.l)?;
-        let boxed = BoxTable::from_partition_with(table, &partition, &params.executor());
-        let publication = boxed.to_publication(self.name());
-        let note = repair::stitch_note(shards.len(), publication.group_count(), merges);
-        Ok(publication.with_note(note))
-    }
 }
 
 #[cfg(test)]
@@ -81,7 +47,7 @@ mod tests {
     use super::*;
     use crate::mondrian::mondrian_partition;
     use ldiv_api::Payload;
-    use ldiv_microdata::{samples, Partition};
+    use ldiv_microdata::samples;
 
     #[test]
     fn mechanism_face_matches_mondrian_publish() {
@@ -102,43 +68,5 @@ mod tests {
     fn infeasible_inputs_error_cleanly() {
         let t = samples::hospital();
         assert!(MondrianMechanism.anonymize(&t, &Params::new(7)).is_err());
-    }
-
-    #[test]
-    fn repair_merge_matches_the_generic_stitch_byte_for_byte() {
-        // The override only changes *how* the boxes are computed
-        // (parallel, via BoxTable); the published ranges must equal the
-        // trait default's tight boxes exactly.
-        struct DefaultStitch;
-        impl Mechanism for DefaultStitch {
-            fn name(&self) -> &str {
-                "mondrian"
-            }
-            fn anonymize(&self, t: &Table, p: &Params) -> Result<Publication, LdivError> {
-                MondrianMechanism.anonymize(t, p)
-            }
-        }
-
-        let t = samples::hospital();
-        let params = Params::new(2);
-        let halves = |rows: Vec<u32>| {
-            let sub = t.select_rows(&rows);
-            let p = MondrianMechanism.anonymize(&sub, &params).unwrap();
-            let (m, partition, payload, _) = p.into_parts();
-            let groups = partition
-                .groups()
-                .iter()
-                .map(|g| g.iter().map(|&local| rows[local as usize]).collect())
-                .collect();
-            Publication::new(m, Partition::new_unchecked(groups), payload)
-        };
-        let shards = vec![halves((0..5).collect()), halves((5..10).collect())];
-        let ours = MondrianMechanism
-            .repair_merge(&t, &params, shards.clone())
-            .unwrap();
-        let generic = DefaultStitch.repair_merge(&t, &params, shards).unwrap();
-        assert_eq!(ours.partition(), generic.partition());
-        assert_eq!(ours.payload(), generic.payload());
-        ours.validate(&t, 2).unwrap();
     }
 }

@@ -23,18 +23,24 @@
 //!    l-eligible-feasible as any K-way split can be. Shard row ids keep
 //!    their original relative order, preserving QI locality for the
 //!    grouping mechanisms.
-//! 2. **Anonymize** ([`anonymize_sharded`]): each shard runs the
-//!    mechanism independently, fanned out on the run's existing
-//!    `ldiv-exec` thread budget (the budget is *shared*, not multiplied:
-//!    K shards over T threads give each inner run ⌊T/K⌋ threads — an
-//!    execution detail that never changes bytes). A shard that is not
-//!    feasible at the caller's l runs at the largest l′ it can honour.
+//! 2. **Anonymize** ([`stitch_shards`]): each shard runs the mechanism
+//!    independently, fanned out on the run's existing `ldiv-exec` thread
+//!    budget (the budget is *shared*, not multiplied: K shards over T
+//!    threads give each inner run ⌊T/K⌋ threads — an execution detail
+//!    that never changes bytes). A shard that is not feasible at the
+//!    caller's l runs at the largest l′ it can honour.
 //! 3. **Stitch** ([`Mechanism::repair_merge`]): per-shard publications
-//!    are remapped to global row ids and handed to the mechanism, whose
-//!    default implementation merges any boundary groups violating
-//!    l-eligibility (Lemma 1 guarantees the merge is sound and the
-//!    caller's whole-table feasibility check that it terminates) and
-//!    rebuilds the payload under the mechanism's grouping invariants.
+//!    are remapped to global row ids and handed to the mechanism's
+//!    stitch, which merges any boundary groups violating l-eligibility
+//!    (Lemma 1 guarantees the merge is sound and the whole-table
+//!    feasibility check that it terminates) and rebuilds the payload
+//!    under the mechanism's grouping invariants. No mechanism overrides
+//!    the trait's default stitch.
+//!
+//! [`stitch_shards`] runs steps 2 and 3 for any shard plan. Two callers
+//! share it: [`anonymize_sharded`], on the split above, and the
+//! incremental publisher (`ldiv-store`), on its append-stable plan,
+//! whose shard runs reload a persisted result where one fits.
 //!
 //! Determinism: the split is a pure function of the table and K, shard
 //! fan-out preserves shard order, and the repair pass is
@@ -88,9 +94,7 @@ pub fn stratified_shards(table: &Table, k: u32) -> Vec<Vec<RowId>> {
 /// whose notes describe the stitch itself, not K copies of each
 /// shard's diagnostics.
 ///
-/// Public because the incremental publisher (`ldiv-store`) feeds
-/// per-segment shard results — freshly computed or reloaded from disk —
-/// through the same remap before stitching.
+/// [`stitch_shards`] runs every shard result through it.
 pub fn remap_to_global(publication: Publication, rows: &[RowId]) -> Publication {
     let (mechanism, partition, payload, _notes) = publication.into_parts();
     let groups = partition
@@ -107,9 +111,9 @@ pub fn remap_to_global(publication: Publication, rows: &[RowId]) -> Publication 
 /// (the sub-run must not recurse), and the caller's absolute deadline
 /// (all shards share one expiry).
 ///
-/// Shared by [`anonymize_sharded`] and the incremental publisher
-/// (`ldiv-store`), which must derive the *same* per-shard l′ for its
-/// persisted results to be interchangeable with fresh ones.
+/// [`stitch_shards`] hands these to every shard run, so a result the
+/// incremental publisher (`ldiv-store`) persisted under them is
+/// interchangeable with a fresh one.
 pub fn shard_params(params: &Params, sub: &Table, inner_threads: u32) -> Params {
     Params {
         l: params.l.min(sub.max_feasible_l()).max(1),
@@ -120,10 +124,76 @@ pub fn shard_params(params: &Params, sub: &Table, inner_threads: u32) -> Params 
     }
 }
 
+/// What [`stitch_shards`] returns: the stitched publication, carrying
+/// only the stitch's own note, and the two shard counts its callers
+/// report.
+#[derive(Debug)]
+pub struct Stitched {
+    /// The l-diverse publication of the whole table.
+    pub publication: Publication,
+    /// Shards that ran below the caller's l (their sub-table could not
+    /// honour it).
+    pub reduced_l: usize,
+    /// Shards whose run reported a reused result.
+    pub reused: usize,
+}
+
+/// Runs a shard plan and stitches the results: the one shard driver
+/// behind [`anonymize_sharded`] and the incremental publisher
+/// (`ldiv-store`).
+///
+/// In order: checks `params` against the whole table (whole-table
+/// feasibility at l is what guarantees the eligibility repair
+/// terminates); gives each of the K shards ⌊T/K⌋ of the run's T threads
+/// (at least one; execution-only, any budget publishes the same bytes);
+/// calls `run(i, sub, sub_params)` for every shard on the run's
+/// executor, where `sub` is the shard's sub-table and `sub_params` its
+/// [`shard_params`]; maps each result back to table row ids
+/// ([`remap_to_global`]); and stitches them in plan order with the
+/// mechanism's [`repair_merge`](Mechanism::repair_merge) under the
+/// `shard:repair_merge` span. `run` returns the shard's publication in
+/// sub-table row ids and whether it was reused rather than computed.
+/// The first failing shard, in plan order, fails the whole run.
+pub fn stitch_shards<F>(
+    mechanism: &dyn Mechanism,
+    table: &Table,
+    params: &Params,
+    plan: &[Vec<RowId>],
+    run: F,
+) -> Result<Stitched, LdivError>
+where
+    F: Fn(usize, &Table, &Params) -> Result<(Publication, bool), LdivError> + Sync,
+{
+    params.validate_for(table)?;
+    let exec = params.executor();
+    let inner_threads = (exec.threads() / plan.len().max(1)).max(1) as u32;
+    let indexed: Vec<(usize, &Vec<RowId>)> = plan.iter().enumerate().collect();
+    let results = exec.map(&indexed, |&(i, rows)| {
+        let sub = table.select_rows(rows);
+        let sub_params = shard_params(params, &sub, inner_threads);
+        run(i, &sub, &sub_params)
+            .map(|(publication, reused)| (remap_to_global(publication, rows), sub_params.l, reused))
+    });
+    let mut publications = Vec::with_capacity(plan.len());
+    let (mut reduced_l, mut reused) = (0usize, 0usize);
+    for result in results {
+        let (publication, l, hit) = result?;
+        reduced_l += usize::from(l < params.l);
+        reused += usize::from(hit);
+        publications.push(publication);
+    }
+    let _stitch = ldiv_obs::span("shard:repair_merge");
+    Ok(Stitched {
+        publication: mechanism.repair_merge(table, params, publications)?,
+        reduced_l,
+        reused,
+    })
+}
+
 /// Anonymizes `table` under `params` with partition-level sharding:
 /// split K ways ([`stratified_shards`]), run `mechanism` on each shard
-/// concurrently on the run's thread budget, stitch with the mechanism's
-/// [`repair_merge`](Mechanism::repair_merge).
+/// through [`stitch_shards`], and note the run
+/// (`"sharded: K shards, R ran below l=L"`).
 ///
 /// With a resolved shard count of 1 this **is** `mechanism.anonymize` —
 /// same bytes, same errors — so sharding stays strictly opt-in
@@ -141,48 +211,23 @@ pub fn anonymize_sharded(
         let _run = ldiv_obs::span_labeled("shard:anonymize", || format!("{}#0", mechanism.name()));
         return mechanism.anonymize(table, params);
     }
-    // Whole-table feasibility at the caller's l gates the run: it is
-    // what guarantees the eligibility-repair pass terminates.
-    params.validate_for(table)?;
-
     let shards = {
         let _split = ldiv_obs::span("shard:split");
         stratified_shards(table, k)
     };
-    let k = shards.len();
-    let exec = params.executor();
-    // Share the budget instead of multiplying it: shard fan-out takes
-    // the K-way slot, inner runs split what remains. Execution-only —
-    // any inner budget publishes the same bytes.
-    let inner_threads = (exec.threads() / k).max(1) as u32;
-    let mut reduced_l = 0usize;
-    let indexed: Vec<(usize, &Vec<RowId>)> = shards.iter().enumerate().collect();
-    let results: Vec<Result<(Publication, u32), LdivError>> = exec.map(&indexed, |&(i, rows)| {
+    let stitched = stitch_shards(mechanism, table, params, &shards, |i, sub, sub_params| {
         let _run =
             ldiv_obs::span_labeled("shard:anonymize", || format!("{}#{i}", mechanism.name()));
-        let sub = table.select_rows(rows);
-        let sub_params = shard_params(params, &sub, inner_threads);
-        let l = sub_params.l;
-        mechanism
-            .anonymize(&sub, &sub_params)
-            .map(|p| (remap_to_global(p, rows), l))
-    });
-    let mut publications = Vec::with_capacity(k);
-    for result in results {
-        let (publication, l) = result?;
-        if l < params.l {
-            reduced_l += 1;
-        }
-        publications.push(publication);
-    }
-
-    let _stitch = ldiv_obs::span("shard:repair_merge");
-    let mut stitched = mechanism.repair_merge(table, params, publications)?;
-    stitched.push_note(format!(
-        "sharded: {k} shards, {reduced_l} ran below l={}",
+        Ok((mechanism.anonymize(sub, sub_params)?, false))
+    })?;
+    let mut publication = stitched.publication;
+    publication.push_note(format!(
+        "sharded: {} shards, {} ran below l={}",
+        shards.len(),
+        stitched.reduced_l,
         params.l
     ));
-    Ok(stitched)
+    Ok(publication)
 }
 
 /// [`anonymize_sharded`] through a [`MechanismRegistry`]: the sharding

@@ -24,11 +24,12 @@
 //! * **Incremental re-publication.** `publish` splits the current table
 //!   with the *append-stable* SA-stratified plan ([`stable_shard_plan`])
 //!   and keys every shard's result by `(mechanism, sub-table
-//!   fingerprint, l′, fanout)`. Shards untouched by recent appends have
-//!   byte-identical sub-tables, so their persisted records are reloaded
-//!   instead of recomputed; only dirty shards run the mechanism, and the
-//!   seams are repaired by the same [`Mechanism::repair_merge`] stitch
-//!   that gates `--shards`.
+//!   fingerprint, l′, fanout)`. It runs the plan through the same shard
+//!   driver as `--shards` ([`ldiv_shard::stitch_shards`]). Shards
+//!   untouched by recent appends have byte-identical sub-tables, so
+//!   their persisted records are reloaded instead of recomputed; only
+//!   dirty shards run the mechanism, and the seams are repaired by the
+//!   same [`Mechanism::repair_merge`] stitch.
 //!
 //! Reuse is **invisible in the output**: a warm publish returns the
 //! same bytes as a cold publish of the same segment history (persisted
@@ -56,7 +57,8 @@ pub use plan::stable_shard_plan;
 
 use ldiv_api::{LdivError, Mechanism, Params, Publication};
 use ldiv_exec::Executor;
-use ldiv_microdata::{read_csv_with, split_csv_line, Fnv1a, RowId, Schema, Table, TableBuilder};
+use ldiv_microdata::{read_csv_with, split_csv_line, Fnv1a, Schema, Table, TableBuilder};
+use ldiv_shard::Stitched;
 use memo::TableMemo;
 use record::ShardRecord;
 use std::fmt;
@@ -581,46 +583,23 @@ impl DatasetStore {
                 },
             });
         }
-        params.validate_for(&table)?;
-        let inner_threads = (exec.threads() / plan.len()).max(1) as u32;
         let name = mechanism.name();
-        type ShardRun = Result<(Publication, u32, bool), LdivError>;
-        let indexed: Vec<(usize, &Vec<RowId>)> = plan.iter().enumerate().collect();
-        let results: Vec<ShardRun> = exec.map(&indexed, |&(i, rows)| {
-            let sub = table.select_rows(rows);
-            let sub_params = ldiv_shard::shard_params(params, &sub, inner_threads);
-            let path = self.record_path(fingerprint, name, &sub, &sub_params);
-            if let Some(publication) = self.load_record(&path, name, &sub) {
+        let Stitched {
+            mut publication,
+            reduced_l,
+            reused,
+        } = ldiv_shard::stitch_shards(mechanism, &table, params, &plan, |i, sub, sub_params| {
+            let path = self.record_path(fingerprint, name, sub, sub_params);
+            if let Some(publication) = self.load_record(&path, name, sub) {
                 let _reuse = ldiv_obs::span_labeled("store:shard", || format!("{name}#{i} reuse"));
-                return Ok((
-                    ldiv_shard::remap_to_global(publication, rows),
-                    sub_params.l,
-                    true,
-                ));
+                return Ok((publication, true));
             }
             let _compute = ldiv_obs::span_labeled("store:shard", || format!("{name}#{i} compute"));
-            let publication = mechanism.anonymize(&sub, &sub_params)?;
-            self.save_record(&path, &publication, &sub);
-            Ok((
-                ldiv_shard::remap_to_global(publication, rows),
-                sub_params.l,
-                false,
-            ))
-        });
-        let mut publications = Vec::with_capacity(plan.len());
-        let (mut reused, mut reduced_l) = (0usize, 0usize);
-        for result in results {
-            let (publication, l, hit) = result?;
-            if hit {
-                reused += 1;
-            }
-            if l < params.l {
-                reduced_l += 1;
-            }
-            publications.push(publication);
-        }
+            let publication = mechanism.anonymize(sub, sub_params)?;
+            self.save_record(&path, &publication, sub);
+            Ok((publication, false))
+        })?;
         let computed = plan.len() - reused;
-        let mut publication = mechanism.repair_merge(&table, params, publications)?;
         // Deterministic by design: segment/shard/reduced-l counts are
         // pure functions of the dataset content, never of cache state —
         // a warm publish must stay byte-identical to a cold one.
