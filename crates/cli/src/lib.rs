@@ -725,15 +725,11 @@ fn cmd_compare_run(
                 Err(e) => wire::error_json(&e).field("mechanism", *name),
             })
             .collect();
-        return Ok(json_line(
-            Json::obj()
-                .field("params", wire::params_json(&params))
-                .field(
-                    "dataset_fingerprint",
-                    wire::fingerprint_hex(table.fingerprint()),
-                )
-                .field("results", Json::Arr(results)),
-        ));
+        return Ok(json_line(wire::sweep_json(
+            &params,
+            table.fingerprint(),
+            results,
+        )));
     }
     let mut out = format!(
         "{:>9} {:>12} {:>12} {:>10} {:>10}\n",
@@ -795,7 +791,7 @@ fn cmd_sweep(opts: &Options) -> Result<String, LdivError> {
 /// Opens the store named by `--store` (creating the directory tree on
 /// first use).
 fn open_store(opts: &Options) -> Result<ldiv_store::DatasetStore, LdivError> {
-    ldiv_store::DatasetStore::open(opts.require("store")?).map_err(LdivError::from)
+    Ok(ldiv_store::DatasetStore::open(opts.require("store")?)?)
 }
 
 /// Reads raw dataset bytes from a path (`-` = stdin). Ingestion keeps
@@ -825,19 +821,12 @@ fn cmd_dataset_register(opts: &Options) -> Result<String, LdivError> {
     let store = open_store(opts)?;
     let csv = load_bytes(opts.require("input")?)?;
     let outcome = guarded("dataset:register", || {
-        store
-            .register(&csv, &Executor::default())
-            .map_err(LdivError::from)
+        store.register(&csv, &Executor::default())
     })?;
-    let hex = wire::fingerprint_hex(outcome.fingerprint);
     if format == Format::Json {
-        return Ok(json_line(
-            Json::obj()
-                .field("dataset", hex)
-                .field("created", outcome.created)
-                .field("rows", outcome.rows),
-        ));
+        return Ok(json_line(wire::register_json(&outcome)));
     }
+    let hex = wire::fingerprint_hex(outcome.fingerprint);
     Ok(if outcome.created {
         format!("registered dataset {hex} ({} rows)\n", outcome.rows)
     } else {
@@ -854,18 +843,10 @@ fn cmd_dataset_append(opts: &Options) -> Result<String, LdivError> {
     let fp = require_fingerprint(opts)?;
     let csv = load_bytes(opts.require("input")?)?;
     let outcome = guarded("dataset:append", || {
-        store
-            .append(fp, &csv, &Executor::default())
-            .map_err(LdivError::from)
+        store.append(fp, &csv, &Executor::default())
     })?;
     if format == Format::Json {
-        return Ok(json_line(
-            Json::obj()
-                .field("dataset", wire::fingerprint_hex(outcome.dataset))
-                .field("segment", outcome.segment.index)
-                .field("segment_rows", outcome.segment.rows)
-                .field("total_rows", outcome.total_rows),
-        ));
+        return Ok(json_line(wire::append_json(&outcome)));
     }
     Ok(format!(
         "appended segment {} ({} rows) to dataset {}: {} rows total\n",
@@ -893,11 +874,7 @@ fn cmd_dataset_publish(opts: &Options) -> Result<String, LdivError> {
         .with_deadline(Deadline::within_ms(deadline_ms));
     let registry = standard_registry();
     let mechanism = registry.get_or_unknown(algo)?;
-    let outcome = guarded("dataset:publish", || {
-        store
-            .publish(fp, mechanism, &params)
-            .map_err(LdivError::from)
-    })?;
+    let outcome = guarded("dataset:publish", || store.publish(fp, mechanism, &params))?;
     let exec = params.executor();
     let kl = kl_divergence_with(&outcome.table, &outcome.publication, &exec);
 
@@ -949,25 +926,9 @@ fn cmd_dataset_publish(opts: &Options) -> Result<String, LdivError> {
 fn cmd_dataset_list(opts: &Options) -> Result<String, LdivError> {
     let format = opts.format()?;
     let store = open_store(opts)?;
-    let datasets = store.datasets().map_err(LdivError::from)?;
+    let datasets = store.datasets()?;
     if format == Format::Json {
-        return Ok(json_line(
-            Json::obj().field(
-                "datasets",
-                Json::Arr(
-                    datasets
-                        .iter()
-                        .map(|info| {
-                            Json::obj()
-                                .field("dataset", wire::fingerprint_hex(info.fingerprint))
-                                .field("segments", info.segments.len())
-                                .field("rows", info.rows())
-                                .field("lineage", wire::fingerprint_hex(info.lineage()))
-                        })
-                        .collect(),
-                ),
-            ),
-        ));
+        return Ok(json_line(wire::datasets_json(&datasets)));
     }
     if datasets.is_empty() {
         return Ok("no datasets registered\n".to_string());
@@ -1614,6 +1575,84 @@ mod tests {
             2
         );
         assert!(run(&opts(&["dataset", "nope", "--store", &store_dir])).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn json_outputs_are_the_http_bodies() {
+        use std::io::{Read as _, Write as _};
+        let dir = std::env::temp_dir().join(format!("ldiv_cli_wire_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+        let (seed, batch) = (path("seed.csv"), path("batch.csv"));
+        run(&opts(&[
+            "generate", "--kind", "sal", "--rows", "300", "--seed", "5", "--output", &seed,
+        ]))
+        .unwrap();
+        let seed_bytes = std::fs::read(&seed).unwrap();
+        let seed_text = String::from_utf8(seed_bytes.clone()).unwrap();
+        let batch_lines: Vec<&str> = seed_text.lines().take(6).collect();
+        let batch_bytes = format!("{}\n", batch_lines.join("\n")).into_bytes();
+        std::fs::write(&batch, &batch_bytes).unwrap();
+
+        let server_store = path("server-store");
+        let (server, _) = start_server(&opts(&[
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--store-root",
+            &server_store,
+        ]))
+        .unwrap();
+        let addr = server.addr();
+        // The body of a 200 response, with the newline a JSON line ends in.
+        let http = |method: &str, target: &str, body: &[u8]| {
+            let mut stream = std::net::TcpStream::connect(addr).unwrap();
+            write!(
+                stream,
+                "{method} {target} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
+                body.len()
+            )
+            .unwrap();
+            stream.write_all(body).unwrap();
+            let mut response = String::new();
+            stream.read_to_string(&mut response).unwrap();
+            let (head, body) = response.split_once("\r\n\r\n").unwrap();
+            assert!(head.starts_with("HTTP/1.1 200"), "{target}: {response}");
+            format!("{body}\n")
+        };
+        let store = path("cli-store");
+        let cli = |args: &[&str]| {
+            let mut args = args.to_vec();
+            args.extend(["--format", "json"]);
+            run(&opts(&args)).unwrap()
+        };
+
+        let registered = cli(&["dataset", "register", "--store", &store, "--input", &seed]);
+        assert_eq!(registered, http("POST", "/datasets", &seed_bytes));
+        let fp = match Json::parse(registered.trim_end()).and_then(|j| j.get("dataset").cloned()) {
+            Some(Json::Str(fp)) => fp,
+            _ => panic!("register names the dataset: {registered}"),
+        };
+        let appended = cli(&[
+            "dataset",
+            "append",
+            "--store",
+            &store,
+            "--dataset",
+            &fp,
+            "--input",
+            &batch,
+        ]);
+        let target = format!("/datasets/{fp}/append");
+        assert_eq!(appended, http("POST", &target, &batch_bytes));
+        let listed = cli(&["dataset", "list", "--store", &store]);
+        assert_eq!(listed, http("GET", "/datasets", b""));
+        let compared = cli(&["compare", "--input", &seed, "--l", "3"]);
+        assert_eq!(compared, http("POST", "/sweep?l=3", &seed_bytes));
+
+        server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

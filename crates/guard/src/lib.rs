@@ -46,7 +46,14 @@ pub mod signals;
 ///
 /// `label` names the boundary in the error ("anonymize", "sweep:tds",
 /// …) so an operator can tell *which* job blew up from the JSON alone.
-pub fn guarded<T>(label: &str, job: impl FnOnce() -> Result<T, LdivError>) -> Result<T, LdivError> {
+///
+/// The job's own error type passes through as itself: any `E` that an
+/// [`LdivError`] converts into (a store route keeps its typed
+/// not-found error); only a caught unwind is converted.
+pub fn guarded<T, E: From<LdivError>>(
+    label: &str,
+    job: impl FnOnce() -> Result<T, E>,
+) -> Result<T, E> {
     match catch_unwind(AssertUnwindSafe(job)) {
         Ok(result) => result,
         Err(payload) => {
@@ -60,7 +67,7 @@ pub fn guarded<T>(label: &str, job: impl FnOnce() -> Result<T, LdivError>) -> Re
                 LdivError::Internal(msg) => ldiv_obs::annotate("panic", msg.clone()),
                 _ => {}
             }
-            Err(err)
+            Err(err.into())
         }
     }
 }
@@ -95,14 +102,14 @@ mod tests {
 
     #[test]
     fn guarded_passes_clean_results_through() {
-        assert_eq!(guarded("ok", || Ok(41 + 1)), Ok(42));
-        let err = guarded::<u32>("err", || Err(LdivError::InvalidL(0))).unwrap_err();
+        assert_eq!(guarded::<_, LdivError>("ok", || Ok(41 + 1)), Ok(42));
+        let err = guarded::<u32, _>("err", || Err(LdivError::InvalidL(0))).unwrap_err();
         assert_eq!(err, LdivError::InvalidL(0));
     }
 
     #[test]
     fn guarded_converts_panics_to_internal_with_the_label() {
-        let err = guarded::<()>("boom-job", || panic!("injected {}", 7)).unwrap_err();
+        let err = guarded::<(), LdivError>("boom-job", || panic!("injected {}", 7)).unwrap_err();
         match err {
             LdivError::Internal(msg) => {
                 assert!(
@@ -118,7 +125,7 @@ mod tests {
     fn guarded_converts_deadline_unwinds_to_the_typed_error() {
         let exec = Executor::new(1).with_deadline(Deadline::within(Duration::ZERO));
         std::thread::sleep(Duration::from_millis(2));
-        let err = guarded::<()>("deadline", || {
+        let err = guarded::<(), LdivError>("deadline", || {
             exec.checkpoint();
             Ok(())
         })
@@ -135,7 +142,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(2));
         let err = guarded("forked", || {
             let v = exec.map_chunks(&items, 64, |c| c.len());
-            Ok(v.len())
+            Ok::<_, LdivError>(v.len())
         })
         .unwrap_err();
         assert_eq!(err, LdivError::DeadlineExceeded);

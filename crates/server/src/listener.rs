@@ -692,72 +692,31 @@ fn register_route(state: &AppState, req: &Request) -> Result<Json, StoreError> {
     // structured error, and the atomic manifest commit means it leaves
     // no partial dataset behind.
     let outcome = guarded("datasets:register", || {
-        store
-            .register(body, &ingest_exec(state))
-            .map_err(LdivError::from)
+        store.register(body, &ingest_exec(state))
     })?;
-    Ok(Json::obj()
-        .field("dataset", wire::fingerprint_hex(outcome.fingerprint))
-        .field("created", outcome.created)
-        .field("rows", outcome.rows))
+    Ok(wire::register_json(&outcome))
 }
 
 fn append_route(state: &AppState, req: &Request, fp: u64) -> Result<Json, StoreError> {
     let store = store_of(state)?;
     let body = require_body(req)?;
-    store.dataset(fp)?; // surface NotFound as 404 before the boundary
     let outcome = guarded("datasets:append", || {
-        store
-            .append(fp, body, &ingest_exec(state))
-            .map_err(LdivError::from)
+        store.append(fp, body, &ingest_exec(state))
     })?;
-    Ok(Json::obj()
-        .field("dataset", wire::fingerprint_hex(outcome.dataset))
-        .field(
-            "segment",
-            Json::obj()
-                .field("index", outcome.segment.index)
-                .field(
-                    "fingerprint",
-                    wire::fingerprint_hex(outcome.segment.fingerprint),
-                )
-                .field("rows", outcome.segment.rows),
-        )
-        .field("total_rows", outcome.total_rows))
-}
-
-fn dataset_json(info: &ldiv_store::DatasetInfo) -> Json {
-    Json::obj()
-        .field("dataset", wire::fingerprint_hex(info.fingerprint))
-        .field("segments", info.segments.len())
-        .field("rows", info.rows())
-        .field("lineage", wire::fingerprint_hex(info.lineage()))
+    Ok(wire::append_json(&outcome))
 }
 
 fn dataset_info_route(state: &AppState, fp: u64) -> Result<Json, StoreError> {
     let info = store_of(state)?.dataset(fp)?;
-    Ok(dataset_json(&info).field(
+    Ok(wire::dataset_json(&info).field(
         "segment_list",
-        Json::Arr(
-            info.segments
-                .iter()
-                .map(|s| {
-                    Json::obj()
-                        .field("index", s.index)
-                        .field("fingerprint", wire::fingerprint_hex(s.fingerprint))
-                        .field("rows", s.rows)
-                })
-                .collect(),
-        ),
+        Json::Arr(info.segments.iter().map(wire::segment_json).collect()),
     ))
 }
 
 fn list_datasets_route(state: &AppState) -> Result<Json, StoreError> {
     let datasets = store_of(state)?.datasets()?;
-    Ok(Json::obj().field(
-        "datasets",
-        Json::Arr(datasets.iter().map(dataset_json).collect()),
-    ))
+    Ok(wire::datasets_json(&datasets))
 }
 
 /// Incremental re-publication with the response cache in front. The key's
@@ -781,9 +740,7 @@ fn publish_route(state: &AppState, req: &Request, fp: u64) -> Result<Served, Sto
     let key = publication_key(lineage, mechanism, &params);
     let served = guarded("datasets:publish", || {
         serve_publication(state, "datasets:publish", &key, &params, || {
-            let outcome = store
-                .publish(fp, mechanism, &params)
-                .map_err(LdivError::from)?;
+            let outcome = store.publish(fp, mechanism, &params)?;
             Ok((outcome.table, outcome.publication))
         })
     })?;
@@ -1286,13 +1243,8 @@ fn sweep_route(state: &AppState, req: &Request) -> Result<Json, LdivError> {
         }
     });
 
-    Ok(Json::obj()
-        .field("params", wire::params_json(&params))
-        .field("dataset_fingerprint", wire::fingerprint_hex(fingerprint))
-        .field(
-            "results",
-            Json::Arr(results.into_iter().map(|r| r.expect("joined")).collect()),
-        ))
+    let results = results.into_iter().map(|r| r.expect("joined")).collect();
+    Ok(wire::sweep_json(&params, fingerprint, results))
 }
 
 /// A running server: the accept thread, its worker pool, and the shared

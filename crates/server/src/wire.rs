@@ -3,11 +3,13 @@
 //!
 //! The value type itself ([`Json`]) lives in `ldiv-wire`; this module
 //! carries the canonical renderings of the workspace's response shapes:
-//! publication summaries, dataset statistics, mechanism listings and
-//! errors. Keeping them here — rather than ad-hoc
-//! `format!` strings in each caller — is what makes
-//! `ldiv anonymize --format json` and `POST /anonymize` byte-identical
-//! for the same run.
+//! publication summaries, the sweep envelope, dataset statistics,
+//! dataset-store outcomes and listings, mechanism listings and errors.
+//! The server and the CLI both render through these functions and build
+//! none of the shapes themselves, which is what makes
+//! `ldiv anonymize --format json` and `POST /anonymize` (and likewise
+//! `compare` and `/sweep`, and the `dataset` verbs and the `/datasets`
+//! routes) byte-identical for the same run.
 //!
 //! Rendering is deterministic: object fields keep insertion order, floats
 //! use Rust's shortest round-trip form, and non-finite floats (which JSON
@@ -19,6 +21,7 @@
 use ldiv_api::{LdivError, MechanismRegistry, Params, Publication};
 use ldiv_metrics::PublicationSummary;
 use ldiv_microdata::Table;
+use ldiv_store::{AppendOutcome, DatasetInfo, RegisterOutcome, SegmentInfo};
 use ldiv_wire::Json;
 
 /// The hex form used for dataset fingerprints on the wire
@@ -82,6 +85,62 @@ pub fn publication_json(
             ),
         )
         .field("cached", false)
+}
+
+/// The `POST /sweep` body and the CLI's `compare --format json` output:
+/// one [`publication_json`] summary or [`error_json`] entry per
+/// registered mechanism, in registry order.
+pub fn sweep_json(params: &Params, dataset_fingerprint: u64, results: Vec<Json>) -> Json {
+    Json::obj()
+        .field("params", params_json(params))
+        .field("dataset_fingerprint", fingerprint_hex(dataset_fingerprint))
+        .field("results", Json::Arr(results))
+}
+
+/// The `POST /datasets` body and the CLI's `dataset register --format
+/// json` output.
+pub fn register_json(outcome: &RegisterOutcome) -> Json {
+    Json::obj()
+        .field("dataset", fingerprint_hex(outcome.fingerprint))
+        .field("created", outcome.created)
+        .field("rows", outcome.rows)
+}
+
+/// One segment of a stored dataset: the `segment` of an append outcome
+/// and each entry of `GET /datasets/{fp}`'s `segment_list`.
+pub fn segment_json(segment: &SegmentInfo) -> Json {
+    Json::obj()
+        .field("index", segment.index)
+        .field("fingerprint", fingerprint_hex(segment.fingerprint))
+        .field("rows", segment.rows)
+}
+
+/// The `POST /datasets/{fp}/append` body and the CLI's `dataset append
+/// --format json` output.
+pub fn append_json(outcome: &AppendOutcome) -> Json {
+    Json::obj()
+        .field("dataset", fingerprint_hex(outcome.dataset))
+        .field("segment", segment_json(&outcome.segment))
+        .field("total_rows", outcome.total_rows)
+}
+
+/// One registered dataset: an entry of [`datasets_json`], and the head
+/// of the `GET /datasets/{fp}` body.
+pub fn dataset_json(info: &DatasetInfo) -> Json {
+    Json::obj()
+        .field("dataset", fingerprint_hex(info.fingerprint))
+        .field("segments", info.segments.len())
+        .field("rows", info.rows())
+        .field("lineage", fingerprint_hex(info.lineage()))
+}
+
+/// The `GET /datasets` body and the CLI's `dataset list --format json`
+/// output.
+pub fn datasets_json(datasets: &[DatasetInfo]) -> Json {
+    Json::obj().field(
+        "datasets",
+        Json::Arr(datasets.iter().map(dataset_json).collect()),
+    )
 }
 
 /// Dataset statistics — the CLI's `stats --format json` output.
