@@ -5,11 +5,14 @@
 //! carries the canonical renderings of the workspace's response shapes:
 //! publication summaries, the sweep envelope, dataset statistics,
 //! dataset-store outcomes and listings, mechanism listings and errors.
-//! The server and the CLI both render through these functions and build
-//! none of the shapes themselves, which is what makes
-//! `ldiv anonymize --format json` and `POST /anonymize` (and likewise
-//! `compare` and `/sweep`, and the `dataset` verbs and the `/datasets`
-//! routes) byte-identical for the same run.
+//! The server and the CLI render every shape they share through these
+//! functions; the CLI only appends fields of its own to some (`output`
+//! when it wrote a file, a store publish's `store` accounting). So
+//! `ldiv anonymize --format json` prints the summary `POST /anonymize`
+//! answers, and the JSON lines of `ldiv compare`, `dataset register`,
+//! `dataset append` and `dataset list` are, newline aside, byte for byte
+//! the bodies of `POST /sweep`, `POST /datasets`,
+//! `POST /datasets/{fp}/append` and `GET /datasets` over the same data.
 //!
 //! Rendering is deterministic: object fields keep insertion order, floats
 //! use Rust's shortest round-trip form, and non-finite floats (which JSON
