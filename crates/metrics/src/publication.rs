@@ -362,24 +362,7 @@ mod tests {
         let t = samples::hospital();
         let partition = table3();
         let suppressed = Publication::suppressed("tp", &t, partition.clone());
-        let boxes: Vec<Vec<AttrRange>> = partition
-            .groups()
-            .iter()
-            .map(|g| {
-                let mut ranges: Vec<AttrRange> = t
-                    .qi_row(g[0])
-                    .iter()
-                    .map(|&v| AttrRange { lo: v, hi: v })
-                    .collect();
-                for &r in &g[1..] {
-                    for (range, &v) in ranges.iter_mut().zip(t.qi_row(r)) {
-                        range.lo = range.lo.min(v);
-                        range.hi = range.hi.max(v);
-                    }
-                }
-                ranges
-            })
-            .collect();
+        let boxes = ldiv_api::repair::tight_boxes(&t, &partition);
         let boxed = Publication::new("boxes", partition, Payload::Boxes(boxes));
         assert!(kl_divergence(&t, &boxed) <= kl_divergence(&t, &suppressed) + 1e-12);
     }
