@@ -365,6 +365,72 @@ mod tests {
         assert_eq!(points[0].stars, 0);
     }
 
+    /// `(depth, total_buckets, stars, suppressed_tuples, KL bits)` of
+    /// each sweep point.
+    fn sweep_rows(table: &Table, l: u32) -> Vec<(u32, usize, usize, usize, u64)> {
+        let cfg = SweepConfig {
+            l,
+            fanout: 2,
+            max_depth: 12,
+        };
+        preprocessing_sweep(table, &cfg)
+            .unwrap()
+            .iter()
+            .map(|p| {
+                (
+                    p.depth,
+                    p.total_buckets,
+                    p.stars,
+                    p.suppressed_tuples,
+                    p.kl.to_bits(),
+                )
+            })
+            .collect()
+    }
+
+    /// The sweep's output on two seeded tables, KL to the bit.
+    #[test]
+    fn sweep_points_match_the_pinned_values() {
+        let sal_table = sal(&AcsConfig {
+            rows: 1_500,
+            seed: 21,
+        })
+        .project(&[0, 3, 5])
+        .unwrap();
+        assert_eq!(
+            sweep_rows(&sal_table, 3),
+            [
+                (0, 3, 0, 0, 4617519784749699181),
+                (1, 6, 0, 0, 4616718150033263498),
+                (2, 12, 45, 18, 4615287668555412232),
+                (3, 22, 660, 240, 4614042987269499294),
+                (4, 38, 1833, 645, 4614621749439298312),
+                (5, 55, 2586, 901, 4615444508837415071),
+                (6, 87, 3342, 1162, 4616419028403377023),
+                (7, 102, 3498, 1227, 4616489357438367504),
+            ]
+        );
+        let occ_table = ldiv_datagen::occ(&AcsConfig {
+            rows: 1_500,
+            seed: 22,
+        })
+        .project(&[0, 2, 4])
+        .unwrap();
+        assert_eq!(
+            sweep_rows(&occ_table, 4),
+            [
+                (0, 3, 0, 0, 4619394167311142980),
+                (1, 6, 0, 0, 4618400055910751025),
+                (2, 12, 117, 39, 4617469717468166905),
+                (3, 24, 539, 181, 4616650772801419448),
+                (4, 41, 1376, 467, 4616431099019413527),
+                (5, 73, 2548, 860, 4617012184329300506),
+                (6, 129, 3542, 1194, 4617878117604206767),
+                (7, 144, 3741, 1263, 4618153721399447179),
+            ]
+        );
+    }
+
     #[test]
     fn mechanism_generic_preprocessing_agrees_with_tp_path() {
         let t = sal(&AcsConfig {

@@ -1129,6 +1129,35 @@ mod tests {
         assert_eq!(replay.stats.reused, 0, "cold store has nothing to reuse");
     }
 
+    /// Each shard of a traced publish shows one `store:shard` span, named
+    /// for the path it took: `compute` on a cold publish, `reuse` on a
+    /// warm one.
+    #[test]
+    fn traced_publishes_label_each_shard_compute_then_reuse() {
+        let root = TempRoot::new("publish-spans");
+        let store = DatasetStore::open(&root.0).unwrap();
+        let exec = Executor::sequential();
+        let fp = store.register(&hospital_csv(), &exec).unwrap().fingerprint;
+        let params = Params::new(2).with_shards(2);
+        let shard_spans = || {
+            ldiv_obs::set_armed(true);
+            let trace = ldiv_obs::begin("publish").expect("armed");
+            store.publish(fp, &ldiv_core::TpMechanism, &params).unwrap();
+            let trace = trace.finish();
+            ldiv_obs::set_armed(false);
+            let mut labels: Vec<String> = trace
+                .spans
+                .iter()
+                .filter(|span| span.name == "store:shard")
+                .map(|span| span.label.clone())
+                .collect();
+            labels.sort();
+            labels
+        };
+        assert_eq!(shard_spans(), ["tp#0 compute", "tp#1 compute"]);
+        assert_eq!(shard_spans(), ["tp#0 reuse", "tp#1 reuse"]);
+    }
+
     #[test]
     fn publish_survives_reopening_the_store() {
         let root = TempRoot::new("reopen");

@@ -316,3 +316,247 @@ fn stats_and_metrics_report_the_same_values() {
         "series without a /stats value: {series:?}"
     );
 }
+
+/// `/metrics` of a fresh store-backed server's first request, byte for
+/// byte: every series name, type, help text and value. The latency
+/// histograms hold no observation yet (a request is timed after its
+/// response renders), so the body is the sample list alone.
+#[test]
+fn a_fresh_store_backed_server_renders_the_pinned_metrics_text() {
+    let _guard = serial();
+    let root = TempRoot::new("obs-fresh-metrics");
+    let server = store_server(&root);
+    let metrics = handle_request(server.state(), &request("GET", "/metrics", &[], b""));
+    server.shutdown();
+    assert_eq!(metrics.body, PINNED_METRICS);
+}
+
+const PINNED_METRICS: &str = "\
+# HELP ldiv_requests_total HTTP requests routed
+# TYPE ldiv_requests_total counter
+ldiv_requests_total 1
+# HELP ldiv_anonymize_runs_total Anonymization runs executed (cache misses)
+# TYPE ldiv_anonymize_runs_total counter
+ldiv_anonymize_runs_total 0
+# HELP ldiv_rejected_total Connections shed with 503 under overload
+# TYPE ldiv_rejected_total counter
+ldiv_rejected_total 0
+# HELP ldiv_panics_caught_total Panics converted to errors at isolation boundaries
+# TYPE ldiv_panics_caught_total counter
+ldiv_panics_caught_total 0
+# HELP ldiv_coalesced_total Requests served by joining an identical in-flight computation
+# TYPE ldiv_coalesced_total counter
+ldiv_coalesced_total 0
+# HELP ldiv_workers Configured worker threads
+# TYPE ldiv_workers gauge
+ldiv_workers 2
+# HELP ldiv_queue_depth Bounded connection queue depth
+# TYPE ldiv_queue_depth gauge
+ldiv_queue_depth 8
+# HELP ldiv_run_threads Intra-run thread budget (0 = auto)
+# TYPE ldiv_run_threads gauge
+ldiv_run_threads 1
+# HELP ldiv_run_shards Partition-level shards per run
+# TYPE ldiv_run_shards gauge
+ldiv_run_shards 1
+# HELP ldiv_deadline_ms Per-request time budget in milliseconds (0 = unlimited)
+# TYPE ldiv_deadline_ms gauge
+ldiv_deadline_ms 60000
+# HELP ldiv_pool_alive Worker threads currently alive
+# TYPE ldiv_pool_alive gauge
+ldiv_pool_alive 2
+# HELP ldiv_pool_target Worker threads the pool keeps alive
+# TYPE ldiv_pool_target gauge
+ldiv_pool_target 2
+# HELP ldiv_pool_worker_panics_total Panics that reached the worker loop
+# TYPE ldiv_pool_worker_panics_total counter
+ldiv_pool_worker_panics_total 0
+# HELP ldiv_pool_respawned_total Workers respawned after a panic
+# TYPE ldiv_pool_respawned_total counter
+ldiv_pool_respawned_total 0
+# HELP ldiv_store_datasets Datasets registered in the store
+# TYPE ldiv_store_datasets gauge
+ldiv_store_datasets 0
+# HELP ldiv_store_segments Immutable segments on disk
+# TYPE ldiv_store_segments gauge
+ldiv_store_segments 0
+# HELP ldiv_store_rows Rows on disk across all datasets
+# TYPE ldiv_store_rows gauge
+ldiv_store_rows 0
+# HELP ldiv_store_shard_records Persisted per-shard results on disk
+# TYPE ldiv_store_shard_records gauge
+ldiv_store_shard_records 0
+# HELP ldiv_store_persisted_responses Persisted publication responses on disk
+# TYPE ldiv_store_persisted_responses gauge
+ldiv_store_persisted_responses 0
+# HELP ldiv_store_registers_total Datasets registered by this process
+# TYPE ldiv_store_registers_total counter
+ldiv_store_registers_total 0
+# HELP ldiv_store_appends_total Segments appended by this process
+# TYPE ldiv_store_appends_total counter
+ldiv_store_appends_total 0
+# HELP ldiv_store_appended_rows_total Rows ingested via append by this process
+# TYPE ldiv_store_appended_rows_total counter
+ldiv_store_appended_rows_total 0
+# HELP ldiv_store_publishes_total Incremental publishes by this process
+# TYPE ldiv_store_publishes_total counter
+ldiv_store_publishes_total 0
+# HELP ldiv_store_shards_computed_total Shards that ran the mechanism
+# TYPE ldiv_store_shards_computed_total counter
+ldiv_store_shards_computed_total 0
+# HELP ldiv_store_shards_reused_total Shards reloaded from persisted results
+# TYPE ldiv_store_shards_reused_total counter
+ldiv_store_shards_reused_total 0
+# HELP ldiv_store_segments_read_total Segment files parsed by this process
+# TYPE ldiv_store_segments_read_total counter
+ldiv_store_segments_read_total 0
+# HELP ldiv_coalesce_in_flight Coalesced computations currently in flight
+# TYPE ldiv_coalesce_in_flight gauge
+ldiv_coalesce_in_flight 0
+# HELP ldiv_coalesce_waiting Requests parked on an in-flight identical computation
+# TYPE ldiv_coalesce_waiting gauge
+ldiv_coalesce_waiting 0
+# HELP ldiv_cache_hits_total Publication cache hits
+# TYPE ldiv_cache_hits_total counter
+ldiv_cache_hits_total 0
+# HELP ldiv_cache_misses_total Publication cache misses
+# TYPE ldiv_cache_misses_total counter
+ldiv_cache_misses_total 0
+# HELP ldiv_cache_entries Publication cache entries held
+# TYPE ldiv_cache_entries gauge
+ldiv_cache_entries 0
+# HELP ldiv_cache_capacity Publication cache capacity in entries
+# TYPE ldiv_cache_capacity gauge
+ldiv_cache_capacity 16
+# HELP ldiv_cache_evictions_total Publication cache evictions
+# TYPE ldiv_cache_evictions_total counter
+ldiv_cache_evictions_total 0
+";
+
+/// The route table, pinned: one `METHOD PATH -> status label` line per
+/// method and path below, on a server holding one registered dataset,
+/// every request bodiless. The label is the one the request was timed
+/// under, read from its trace's `route` annotation.
+#[test]
+fn every_method_on_every_path_answers_the_pinned_status_and_label() {
+    let _guard = serial();
+    let root = TempRoot::new("obs-routes");
+    let state = AppState::new(
+        standard_registry(),
+        ServerConfig {
+            store_root: Some(root.0.clone()),
+            ..ServerConfig::default()
+        },
+    );
+    let registered = handle_request(
+        &state,
+        &request("POST", "/datasets", &[], &dataset_csv(40, 45)),
+    );
+    let fp = registered_fingerprint(&registered.body);
+    obs::set_armed(true);
+    let mut lines = String::new();
+    for path in [
+        "/healthz",
+        "/mechanisms",
+        "/stats",
+        "/metrics",
+        "/trace",
+        "/anonymize",
+        "/sweep",
+        "/datasets",
+        "/datasets/<fp>",
+        "/datasets/<fp>/",
+        "/datasets/<fp>/append",
+        "/datasets/<fp>/publish",
+        "/datasets/<fp>/bogus",
+        "/datasets/0000000000000000",
+        "/datasets/nope/append",
+        "/nope",
+    ] {
+        for method in ["GET", "POST", "PUT", "DELETE"] {
+            let target = path.replace("<fp>", &fp);
+            let response = handle_request(&state, &request(method, &target, &[], b""));
+            let id = header(&response, "X-Ldiv-Trace-Id").expect("armed tracing names the trace");
+            let trace = obs::recent_traces(obs::TRACE_RING_CAP)
+                .into_iter()
+                .find(|trace| trace.id_hex() == id)
+                .expect("the request's trace is in the ring");
+            let label = trace
+                .meta_value("route")
+                .expect("every request is labelled");
+            lines.push_str(&format!("{method} {path} -> {} {label}\n", response.status));
+        }
+    }
+    obs::set_armed(false);
+    // Leave the ring as the other tests expect to find it: their own
+    // traces first.
+    obs::clear_traces();
+    assert_eq!(lines, PINNED_ROUTES);
+}
+
+const PINNED_ROUTES: &str = "\
+GET /healthz -> 200 /healthz
+POST /healthz -> 405 /healthz
+PUT /healthz -> 404 /healthz
+DELETE /healthz -> 404 /healthz
+GET /mechanisms -> 200 /mechanisms
+POST /mechanisms -> 405 /mechanisms
+PUT /mechanisms -> 404 /mechanisms
+DELETE /mechanisms -> 404 /mechanisms
+GET /stats -> 200 /stats
+POST /stats -> 405 /stats
+PUT /stats -> 404 /stats
+DELETE /stats -> 404 /stats
+GET /metrics -> 200 /metrics
+POST /metrics -> 405 /metrics
+PUT /metrics -> 404 /metrics
+DELETE /metrics -> 404 /metrics
+GET /trace -> 200 /trace
+POST /trace -> 405 /trace
+PUT /trace -> 404 /trace
+DELETE /trace -> 404 /trace
+GET /anonymize -> 405 /anonymize
+POST /anonymize -> 400 /anonymize
+PUT /anonymize -> 404 /anonymize
+DELETE /anonymize -> 404 /anonymize
+GET /sweep -> 405 /sweep
+POST /sweep -> 400 /sweep
+PUT /sweep -> 404 /sweep
+DELETE /sweep -> 404 /sweep
+GET /datasets -> 200 /datasets
+POST /datasets -> 400 /datasets
+PUT /datasets -> 405 /datasets
+DELETE /datasets -> 405 /datasets
+GET /datasets/<fp> -> 200 /datasets/{fp}
+POST /datasets/<fp> -> 405 /datasets/{fp}
+PUT /datasets/<fp> -> 404 /datasets/{fp}
+DELETE /datasets/<fp> -> 404 /datasets/{fp}
+GET /datasets/<fp>/ -> 200 other
+POST /datasets/<fp>/ -> 405 other
+PUT /datasets/<fp>/ -> 404 other
+DELETE /datasets/<fp>/ -> 404 other
+GET /datasets/<fp>/append -> 405 /datasets/{fp}/append
+POST /datasets/<fp>/append -> 400 /datasets/{fp}/append
+PUT /datasets/<fp>/append -> 404 /datasets/{fp}/append
+DELETE /datasets/<fp>/append -> 404 /datasets/{fp}/append
+GET /datasets/<fp>/publish -> 405 /datasets/{fp}/publish
+POST /datasets/<fp>/publish -> 400 /datasets/{fp}/publish
+PUT /datasets/<fp>/publish -> 404 /datasets/{fp}/publish
+DELETE /datasets/<fp>/publish -> 404 /datasets/{fp}/publish
+GET /datasets/<fp>/bogus -> 404 other
+POST /datasets/<fp>/bogus -> 404 other
+PUT /datasets/<fp>/bogus -> 404 other
+DELETE /datasets/<fp>/bogus -> 404 other
+GET /datasets/0000000000000000 -> 404 /datasets/{fp}
+POST /datasets/0000000000000000 -> 405 /datasets/{fp}
+PUT /datasets/0000000000000000 -> 404 /datasets/{fp}
+DELETE /datasets/0000000000000000 -> 404 /datasets/{fp}
+GET /datasets/nope/append -> 404 /datasets/{fp}/append
+POST /datasets/nope/append -> 404 /datasets/{fp}/append
+PUT /datasets/nope/append -> 404 /datasets/{fp}/append
+DELETE /datasets/nope/append -> 404 /datasets/{fp}/append
+GET /nope -> 404 other
+POST /nope -> 404 other
+PUT /nope -> 404 other
+DELETE /nope -> 404 other
+";
