@@ -1,7 +1,9 @@
 //! The metrics registry: the counters and latency histograms a server
 //! owns, the [`Sample`] list both `/stats` (JSON) and `/metrics`
-//! (Prometheus text) render so the two surfaces cannot drift, plus a
-//! strict line-grammar validator for scrape output.
+//! (Prometheus text) render, plus a strict line-grammar validator for
+//! scrape output. A value is listed once, by its `/stats` path and its
+//! kind; [`Sample::name`] derives its `/metrics` name from those two, so
+//! the two surfaces cannot drift.
 
 use crate::hist::{seconds_text, Histogram, BUCKET_BOUNDS_NS};
 use std::sync::{Arc, Mutex};
@@ -29,38 +31,66 @@ impl Counter {
     }
 }
 
-/// One reported value, read at scrape time and carrying both of its wire
-/// names. A scrape builds one list of these; `/stats` nests it by path
-/// and `/metrics` writes it series by series, so the two surfaces
-/// enumerate the same values in the same order.
+/// The Prometheus type of a [`Sample`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// A value that only grows.
+    Counter,
+    /// A value read as it stands.
+    Gauge,
+}
+
+/// One reported value, read at scrape time. A scrape builds one list of
+/// these; `/stats` nests it by path and `/metrics` writes it series by
+/// series under [`Sample::name`], so the two surfaces enumerate the same
+/// values in the same order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sample {
     /// Dotted `/stats` path (`cache.hits`): each dot nests one object.
     pub path: &'static str,
-    /// Prometheus metric name used by `/metrics`. It also fixes the type:
-    /// a name ending in `_total` is a counter, any other a gauge.
-    pub prom: &'static str,
     /// Help text.
     pub help: &'static str,
+    /// Counter or gauge.
+    pub kind: Kind,
     /// Value at scrape time.
     pub value: u64,
 }
 
 impl Sample {
-    /// A sample; see the field docs.
-    pub fn new(path: &'static str, prom: &'static str, help: &'static str, value: u64) -> Self {
+    /// A counter sample; see the field docs.
+    pub fn counter(path: &'static str, help: &'static str, value: u64) -> Self {
         Sample {
             path,
-            prom,
             help,
+            kind: Kind::Counter,
             value,
         }
+    }
+
+    /// A gauge sample; see the field docs.
+    pub fn gauge(path: &'static str, help: &'static str, value: u64) -> Self {
+        Sample {
+            path,
+            help,
+            kind: Kind::Gauge,
+            value,
+        }
+    }
+
+    /// The `/metrics` name, the one place the naming rule lives: `ldiv_`,
+    /// then the path with dots as underscores, then `_total` for a
+    /// counter (`cache.hits` → `ldiv_cache_hits_total`).
+    pub fn name(&self) -> String {
+        let suffix = match self.kind {
+            Kind::Counter => "_total",
+            Kind::Gauge => "",
+        };
+        format!("ldiv_{}{suffix}", self.path.replace('.', "_"))
     }
 }
 
 struct CounterEntry {
     path: &'static str,
-    prom: &'static str,
     help: &'static str,
     counter: Counter,
 }
@@ -169,10 +199,9 @@ impl Registry {
         Self::default()
     }
 
-    /// Registers (or fetches) a counter by `/stats` path; `prom` ends in
-    /// `_total`. `prom`/`help` of an existing path are kept from first
-    /// registration.
-    pub fn counter(&self, path: &'static str, prom: &'static str, help: &'static str) -> Counter {
+    /// Registers (or fetches) a counter by `/stats` path. The `help` of
+    /// an existing path is kept from first registration.
+    pub fn counter(&self, path: &'static str, help: &'static str) -> Counter {
         let mut counters = self.counters.lock().unwrap();
         if let Some(entry) = counters.iter().find(|e| e.path == path) {
             return entry.counter.clone();
@@ -180,7 +209,6 @@ impl Registry {
         let counter = Counter::default();
         counters.push(CounterEntry {
             path,
-            prom,
             help,
             counter: counter.clone(),
         });
@@ -214,7 +242,7 @@ impl Registry {
             .lock()
             .unwrap()
             .iter()
-            .map(|e| Sample::new(e.path, e.prom, e.help, e.counter.get()))
+            .map(|e| Sample::counter(e.path, e.help, e.counter.get()))
             .collect()
     }
 
@@ -227,14 +255,13 @@ impl Registry {
     }
 }
 
-/// Writes one sample as a `# HELP`/`# TYPE`/sample triple, typed
-/// `counter` when its name ends in `_total` and `gauge` otherwise.
+/// Writes one sample as a `# HELP`/`# TYPE`/sample triple under its
+/// [`Sample::name`].
 pub fn write_metric(out: &mut String, sample: &Sample) {
-    let name = sample.prom;
-    let kind = if name.ends_with("_total") {
-        "counter"
-    } else {
-        "gauge"
+    let name = sample.name();
+    let kind = match sample.kind {
+        Kind::Counter => "counter",
+        Kind::Gauge => "gauge",
     };
     out.push_str(&format!("# HELP {name} {}\n", sample.help));
     out.push_str(&format!("# TYPE {name} {kind}\n"));
@@ -439,27 +466,22 @@ mod tests {
     #[test]
     fn counters_register_once_and_share_cells() {
         let registry = Registry::new();
-        let a = registry.counter("requests", "ldiv_requests_total", "Total requests.");
-        let b = registry.counter("requests", "ldiv_requests_total", "Total requests.");
+        let a = registry.counter("requests", "Total requests.");
+        let b = registry.counter("requests", "Total requests.");
         a.inc();
         b.add(2);
         assert_eq!(a.get(), 3);
         assert_eq!(
             registry.counter_samples(),
-            vec![Sample::new(
-                "requests",
-                "ldiv_requests_total",
-                "Total requests.",
-                3
-            )]
+            vec![Sample::counter("requests", "Total requests.", 3)]
         );
     }
 
     #[test]
     fn samples_preserve_registration_order() {
         let registry = Registry::new();
-        registry.counter("b_second", "ldiv_b_total", "B.");
-        registry.counter("a_first", "ldiv_a_total", "A.");
+        registry.counter("b_second", "B.");
+        registry.counter("a_first", "A.");
         let paths: Vec<_> = registry.counter_samples().iter().map(|s| s.path).collect();
         assert_eq!(paths, vec!["b_second", "a_first"]);
     }
@@ -467,16 +489,14 @@ mod tests {
     #[test]
     fn samples_and_histograms_render_valid_text() {
         let registry = Registry::new();
-        registry
-            .counter("requests", "ldiv_requests_total", "Total requests.")
-            .inc();
+        registry.counter("requests", "Total requests.").inc();
         let family =
             registry.histogram("ldiv_request_duration_seconds", "Request latency.", "route");
         family.observe("/anonymize", Duration::from_micros(150));
         family.observe("/anonymize", Duration::from_millis(3));
         family.observe("/stats", Duration::from_micros(2));
         let mut out = String::new();
-        let gauge = Sample::new("workers", "ldiv_workers", "Worker threads.", 4);
+        let gauge = Sample::gauge("workers", "Worker threads.", 4);
         for s in registry.counter_samples().iter().chain([&gauge]) {
             write_metric(&mut out, s);
         }
@@ -498,6 +518,14 @@ mod tests {
         let anon = out.find("route=\"/anonymize\"").unwrap();
         let stats = out.find("route=\"/stats\"").unwrap();
         assert!(anon < stats);
+    }
+
+    #[test]
+    fn names_derive_from_the_path_and_the_kind() {
+        let hits = Sample::counter("cache.hits", "Hits.", 0);
+        assert_eq!(hits.name(), "ldiv_cache_hits_total");
+        let rows = Sample::gauge("store.rows", "Rows.", 0);
+        assert_eq!(rows.name(), "ldiv_store_rows");
     }
 
     #[test]

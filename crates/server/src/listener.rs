@@ -8,7 +8,10 @@
 //! the shared [`AppState`], which keeps every route unit-testable without
 //! sockets.
 //!
-//! Routes:
+//! Routes — the patterns are `route_of`'s table, and each one is both
+//! the request's dispatch key and its latency label. A path that names a
+//! route answers 405 for any method the route doesn't serve; any other
+//! path answers 404.
 //!
 //! | Route | Behaviour |
 //! |---|---|
@@ -16,6 +19,7 @@
 //! | `GET /mechanisms` | registered mechanisms + descriptions |
 //! | `GET /stats` | request, cache, coalesce, pool and store values |
 //! | `GET /metrics` | the same values in Prometheus text, plus latency histograms |
+//! | `GET /trace[?n=N]` | the last `N` completed request traces as span trees |
 //! | `POST /anonymize?algo=A&l=L[&fanout=F][&dataset=PATH]` | CSV body (or dataset file) → JSON publication summary |
 //! | `POST /sweep?l=L[&fanout=F][&dataset=PATH]` | every registered mechanism in parallel |
 //! | `POST /datasets` | CSV body → register in the persistent store (idempotent by content) |
@@ -169,7 +173,8 @@ pub struct AppState {
     /// The server's own counters and latency histograms. Each scrape
     /// lists the counters together with the values other owners hold
     /// ([`samples`]), and `/stats` and `/metrics` both render that one
-    /// list, so the two surfaces can't drift.
+    /// list, `/metrics` under the name [`Sample::name`] derives from
+    /// each `/stats` path, so the two surfaces can't drift.
     metrics: MetricsRegistry,
     requests: Counter,
     anonymize_runs: Counter,
@@ -203,25 +208,18 @@ impl AppState {
         let metrics = MetricsRegistry::new();
         // Registration order IS the order of the counters on `/stats`
         // and `/metrics`; keep it stable.
-        let requests = metrics.counter("requests", "ldiv_requests_total", "HTTP requests routed");
+        let requests = metrics.counter("requests", "HTTP requests routed");
         let anonymize_runs = metrics.counter(
             "anonymize_runs",
-            "ldiv_anonymize_runs_total",
             "Anonymization runs executed (cache misses)",
         );
-        let rejected = metrics.counter(
-            "rejected",
-            "ldiv_rejected_total",
-            "Connections shed with 503 under overload",
-        );
+        let rejected = metrics.counter("rejected", "Connections shed with 503 under overload");
         let panics_caught = metrics.counter(
             "panics_caught",
-            "ldiv_panics_caught_total",
             "Panics converted to errors at isolation boundaries",
         );
         let coalesced = metrics.counter(
             "coalesced",
-            "ldiv_coalesced_total",
             "Requests served by joining an identical in-flight computation",
         );
         let request_hist = metrics.histogram(
@@ -377,31 +375,35 @@ fn no_route(req: &Request) -> Response {
     usage_response(404, format!("no route for '{}'", req.path))
 }
 
-/// The bounded-cardinality route class a request falls in — the label
-/// on `ldiv_request_duration_seconds` (raw paths would let a client mint
-/// unbounded label values).
-fn route_label(req: &Request) -> &'static str {
-    if req.path == "/datasets" {
-        return "/datasets";
-    }
-    if let Some(tail) = req.path.strip_prefix("/datasets/") {
-        return match tail.split_once('/').map(|(_, action)| action) {
-            Some("append") => "/datasets/{fp}/append",
-            Some("publish") => "/datasets/{fp}/publish",
-            Some(_) => "other",
-            None => "/datasets/{fp}",
-        };
-    }
-    match req.path.as_str() {
-        "/healthz" => "/healthz",
-        "/mechanisms" => "/mechanisms",
-        "/stats" => "/stats",
-        "/metrics" => "/metrics",
-        "/trace" => "/trace",
-        "/anonymize" => "/anonymize",
-        "/sweep" => "/sweep",
-        _ => "other",
-    }
+/// The paths outside `/datasets/` that name a route.
+const FIXED_ROUTES: [&str; 8] = [
+    "/healthz",
+    "/mechanisms",
+    "/stats",
+    "/metrics",
+    "/trace",
+    "/anonymize",
+    "/sweep",
+    "/datasets",
+];
+
+/// The route table: a path's route pattern, `None` for an unknown path,
+/// plus the `{fp}` text of a path under `/datasets/`. The pattern is
+/// both the dispatch key and the label on
+/// `ldiv_request_duration_seconds`, whose cardinality it bounds (raw
+/// paths would let a client mint label values).
+fn route_of(path: &str) -> (Option<&'static str>, Option<&str>) {
+    let Some(tail) = path.strip_prefix("/datasets/") else {
+        return (FIXED_ROUTES.into_iter().find(|route| *route == path), None);
+    };
+    let (fp, action) = tail.split_once('/').unwrap_or((tail, ""));
+    let route = match action {
+        "" => Some("/datasets/{fp}"),
+        "append" => Some("/datasets/{fp}/append"),
+        "publish" => Some("/datasets/{fp}/publish"),
+        _ => None,
+    };
+    (route, Some(fp))
 }
 
 /// Records the request's latency into the route histogram on drop — an
@@ -425,15 +427,16 @@ pub fn handle_request(state: &AppState, req: &Request) -> Response {
     // dispatch): on the socket path `serve_connection` began the trace
     // before parsing, this returns None, and the outer trace wins.
     let _trace = ldiv_obs::begin("request");
-    let route = route_label(req);
-    ldiv_obs::annotate("route", route.to_string());
+    let (route, fp) = route_of(&req.path);
+    let label = route.unwrap_or("other");
+    ldiv_obs::annotate("route", label.to_string());
     let _timer = RouteTimer {
         family: &state.request_hist,
-        route,
+        route: label,
         start: Instant::now(),
     };
     state.requests.inc();
-    let response = finalize_wire(req, route_request(state, req));
+    let response = finalize_wire(req, route_request(state, req, route, fp));
     ldiv_obs::annotate("status", response.status.to_string());
     match ldiv_obs::current_trace_id_hex() {
         Some(id) => response.with_header("X-Ldiv-Trace-Id", id),
@@ -480,34 +483,57 @@ fn wants_binary(req: &Request) -> bool {
     })
 }
 
-fn route_request(state: &AppState, req: &Request) -> Response {
-    if req.path == "/datasets" || req.path.starts_with("/datasets/") {
-        return datasets_route(state, req);
-    }
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => Response::json(200, Json::obj().field("status", "ok").render()),
-        ("GET", "/mechanisms") => {
+/// Dispatches a request on its [`route_of`] pattern. A malformed
+/// fingerprint answers 404 whatever the method, an unknown path 404,
+/// and a known route 405 for any method it doesn't serve. Store errors
+/// map onto statuses in [`store_error_response`].
+fn route_request(
+    state: &AppState,
+    req: &Request,
+    route: Option<&'static str>,
+    fp: Option<&str>,
+) -> Response {
+    let parsed = fp.map(|text| ldiv_store::parse_fingerprint(text).ok_or(text));
+    let fp = match parsed.transpose() {
+        Ok(fp) => fp,
+        Err(text) => {
+            let msg = format!("'{text}' is not a dataset fingerprint (16 hex digits)");
+            return usage_response(404, msg);
+        }
+    };
+    let Some(route) = route else {
+        return no_route(req);
+    };
+    match (req.method.as_str(), route, fp) {
+        ("GET", "/healthz", _) => Response::json(200, Json::obj().field("status", "ok").render()),
+        ("GET", "/mechanisms", _) => {
             Response::json(200, wire::mechanisms_json(&state.registry).render())
         }
-        ("GET", "/stats") => Response::json(200, stats_json(state).render()),
-        ("GET", "/metrics") => Response::metrics_text(200, metrics_text(state)),
-        ("GET", "/trace") => Response::json(200, trace_json(req).render()),
-        ("POST", "/anonymize") => match anonymize_route(state, req) {
+        ("GET", "/stats", _) => Response::json(200, stats_json(state).render()),
+        ("GET", "/metrics", _) => Response::metrics_text(200, metrics_text(state)),
+        ("GET", "/trace", _) => Response::json(200, trace_json(req).render()),
+        ("POST", "/anonymize", _) => match anonymize_route(state, req) {
             Ok(served) => respond_publication(req, served),
             Err(e) => error_response(state, &e),
         },
-        ("POST", "/sweep") => match sweep_route(state, req) {
+        ("POST", "/sweep", _) => match sweep_route(state, req) {
             Ok(json) => Response::json(200, render_summary(json)),
             Err(e) => error_response(state, &e),
         },
-        ("GET", "/anonymize")
-        | ("GET", "/sweep")
-        | ("POST", "/healthz")
-        | ("POST", "/mechanisms")
-        | ("POST", "/stats")
-        | ("POST", "/metrics")
-        | ("POST", "/trace") => method_not_allowed(req),
-        _ => no_route(req),
+        ("POST", "/datasets", _) => store_response(state, register_route(state, req)),
+        ("GET", "/datasets", _) => store_response(state, list_datasets_route(state)),
+        ("GET", "/datasets/{fp}", Some(fp)) => store_response(state, dataset_info_route(state, fp)),
+        ("POST", "/datasets/{fp}/append", Some(fp)) => {
+            store_response(state, append_route(state, req, fp))
+        }
+        // Publish returns a `Served` (it fronts the publication cache
+        // and may carry the line's encoded-block handle), so it renders
+        // through the shared publication door.
+        ("POST", "/datasets/{fp}/publish", Some(fp)) => match publish_route(state, req, fp) {
+            Ok(served) => respond_publication(req, served),
+            Err(e) => store_error_response(state, e),
+        },
+        _ => method_not_allowed(req),
     }
 }
 
@@ -596,47 +622,8 @@ fn span_tree(trace: &ldiv_obs::FinishedTrace, parent: u32) -> Vec<Json> {
         .collect()
 }
 
-/// Routes the `/datasets` family: dispatch on the path tail, then map
-/// store errors onto statuses in one place (`NotFound` → 404, anything
-/// else through the shared domain-error mapping).
-fn datasets_route(state: &AppState, req: &Request) -> Response {
-    let tail = req.path.strip_prefix("/datasets").unwrap_or("");
-    let result = match (req.method.as_str(), tail) {
-        ("POST", "") => register_route(state, req),
-        ("GET", "") => list_datasets_route(state),
-        (_, "") => return method_not_allowed(req),
-        (method, tail) => {
-            let tail = tail.trim_start_matches('/');
-            let (fp_text, action) = match tail.split_once('/') {
-                Some((fp, action)) => (fp, action),
-                None => (tail, ""),
-            };
-            let Some(fp) = ldiv_store::parse_fingerprint(fp_text) else {
-                return usage_response(
-                    404,
-                    format!("'{fp_text}' is not a dataset fingerprint (16 hex digits)"),
-                );
-            };
-            match (method, action) {
-                ("GET", "") => dataset_info_route(state, fp),
-                ("POST", "append") => append_route(state, req, fp),
-                // Publish returns a `Served` (it fronts the publication
-                // cache and may carry the line's encoded-block handle),
-                // so it renders through the shared publication door
-                // rather than the plain-JSON one below.
-                ("POST", "publish") => {
-                    return match publish_route(state, req, fp) {
-                        Ok(served) => respond_publication(req, served),
-                        Err(e) => store_error_response(state, e),
-                    }
-                }
-                ("POST", "") | ("GET", "append") | ("GET", "publish") => {
-                    return method_not_allowed(req)
-                }
-                _ => return no_route(req),
-            }
-        }
-    };
+/// The response of a plain-JSON `/datasets` route.
+fn store_response(state: &AppState, result: Result<Json, StoreError>) -> Response {
     match result {
         Ok(json) => Response::json(200, json.render()),
         Err(e) => store_error_response(state, e),
@@ -766,63 +753,54 @@ fn samples(state: &AppState) -> Vec<Sample> {
     let config = &state.config;
     let mut samples = state.metrics.counter_samples();
     samples.extend([
-        Sample::new(
+        Sample::gauge(
             "workers",
-            "ldiv_workers",
             "Configured worker threads",
             config.workers as u64,
         ),
-        Sample::new(
+        Sample::gauge(
             "queue_depth",
-            "ldiv_queue_depth",
             "Bounded connection queue depth",
             config.queue_depth as u64,
         ),
-        Sample::new(
+        Sample::gauge(
             "run_threads",
-            "ldiv_run_threads",
             "Intra-run thread budget (0 = auto)",
             config.threads.into(),
         ),
-        Sample::new(
+        Sample::gauge(
             "run_shards",
-            "ldiv_run_shards",
             "Partition-level shards per run",
             config.shards.into(),
         ),
-        Sample::new(
+        Sample::gauge(
             "deadline_ms",
-            "ldiv_deadline_ms",
             "Per-request time budget in milliseconds (0 = unlimited)",
             config.deadline_ms,
         ),
     ]);
     if let Some(health) = state.pool_health.get() {
         samples.extend([
-            Sample::new(
+            Sample::gauge(
                 "pool.alive",
-                "ldiv_pool_alive",
                 "Worker threads currently alive",
                 health.alive() as u64,
             ),
-            Sample::new(
+            Sample::gauge(
                 "pool.target",
-                "ldiv_pool_target",
                 "Worker threads the pool keeps alive",
                 config.workers as u64,
             ),
             // Panics that escaped all the way to the worker loop: the
             // route-level `guarded` boundaries normally convert them
             // first (counted in `panics_caught`).
-            Sample::new(
+            Sample::counter(
                 "pool.worker_panics",
-                "ldiv_pool_worker_panics_total",
                 "Panics that reached the worker loop",
                 health.panics_caught(),
             ),
-            Sample::new(
+            Sample::counter(
                 "pool.respawned",
-                "ldiv_pool_respawned_total",
                 "Workers respawned after a panic",
                 health.respawned(),
             ),
@@ -831,75 +809,63 @@ fn samples(state: &AppState) -> Vec<Sample> {
     if let Some(store) = &state.store {
         let s = store.stats();
         samples.extend([
-            Sample::new(
+            Sample::gauge(
                 "store.datasets",
-                "ldiv_store_datasets",
                 "Datasets registered in the store",
                 s.datasets as u64,
             ),
-            Sample::new(
+            Sample::gauge(
                 "store.segments",
-                "ldiv_store_segments",
                 "Immutable segments on disk",
                 s.segments as u64,
             ),
-            Sample::new(
+            Sample::gauge(
                 "store.rows",
-                "ldiv_store_rows",
                 "Rows on disk across all datasets",
                 s.rows as u64,
             ),
-            Sample::new(
+            Sample::gauge(
                 "store.shard_records",
-                "ldiv_store_shard_records",
                 "Persisted per-shard results on disk",
                 s.shard_records as u64,
             ),
-            Sample::new(
+            Sample::gauge(
                 "store.persisted_responses",
-                "ldiv_store_persisted_responses",
                 "Persisted publication responses on disk",
                 s.persisted_responses as u64,
             ),
-            Sample::new(
+            Sample::counter(
                 "store.registers",
-                "ldiv_store_registers_total",
                 "Datasets registered by this process",
                 s.registers,
             ),
-            Sample::new(
+            Sample::counter(
                 "store.appends",
-                "ldiv_store_appends_total",
                 "Segments appended by this process",
                 s.appends,
             ),
-            Sample::new(
+            Sample::counter(
                 "store.appended_rows",
-                "ldiv_store_appended_rows_total",
                 "Rows ingested via append by this process",
                 s.appended_rows,
             ),
-            Sample::new(
+            Sample::counter(
                 "store.publishes",
-                "ldiv_store_publishes_total",
                 "Incremental publishes by this process",
                 s.publishes,
             ),
-            Sample::new(
+            Sample::counter(
                 "store.shards_computed",
-                "ldiv_store_shards_computed_total",
                 "Shards that ran the mechanism",
                 s.shards_computed,
             ),
-            Sample::new(
+            Sample::counter(
                 "store.shards_reused",
-                "ldiv_store_shards_reused_total",
                 "Shards reloaded from persisted results",
                 s.shards_reused,
             ),
-            Sample::new(
+            Sample::counter(
                 "store.segments_read",
-                "ldiv_store_segments_read_total",
                 "Segment files parsed by this process",
                 s.segments_read,
             ),
@@ -907,45 +873,30 @@ fn samples(state: &AppState) -> Vec<Sample> {
     }
     let (flights, cache) = (&state.flights, state.cache_stats());
     samples.extend([
-        Sample::new(
+        Sample::gauge(
             "coalesce.in_flight",
-            "ldiv_coalesce_in_flight",
             "Coalesced computations currently in flight",
             flights.in_flight() as u64,
         ),
-        Sample::new(
+        Sample::gauge(
             "coalesce.waiting",
-            "ldiv_coalesce_waiting",
             "Requests parked on an in-flight identical computation",
             flights.waiting() as u64,
         ),
-        Sample::new(
-            "cache.hits",
-            "ldiv_cache_hits_total",
-            "Publication cache hits",
-            cache.hits,
-        ),
-        Sample::new(
-            "cache.misses",
-            "ldiv_cache_misses_total",
-            "Publication cache misses",
-            cache.misses,
-        ),
-        Sample::new(
+        Sample::counter("cache.hits", "Publication cache hits", cache.hits),
+        Sample::counter("cache.misses", "Publication cache misses", cache.misses),
+        Sample::gauge(
             "cache.entries",
-            "ldiv_cache_entries",
             "Publication cache entries held",
             cache.entries as u64,
         ),
-        Sample::new(
+        Sample::gauge(
             "cache.capacity",
-            "ldiv_cache_capacity",
             "Publication cache capacity in entries",
             cache.capacity as u64,
         ),
-        Sample::new(
+        Sample::counter(
             "cache.evictions",
-            "ldiv_cache_evictions_total",
             "Publication cache evictions",
             cache.evictions,
         ),

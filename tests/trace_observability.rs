@@ -497,60 +497,60 @@ fn every_method_on_every_path_answers_the_pinned_status_and_label() {
 const PINNED_ROUTES: &str = "\
 GET /healthz -> 200 /healthz
 POST /healthz -> 405 /healthz
-PUT /healthz -> 404 /healthz
-DELETE /healthz -> 404 /healthz
+PUT /healthz -> 405 /healthz
+DELETE /healthz -> 405 /healthz
 GET /mechanisms -> 200 /mechanisms
 POST /mechanisms -> 405 /mechanisms
-PUT /mechanisms -> 404 /mechanisms
-DELETE /mechanisms -> 404 /mechanisms
+PUT /mechanisms -> 405 /mechanisms
+DELETE /mechanisms -> 405 /mechanisms
 GET /stats -> 200 /stats
 POST /stats -> 405 /stats
-PUT /stats -> 404 /stats
-DELETE /stats -> 404 /stats
+PUT /stats -> 405 /stats
+DELETE /stats -> 405 /stats
 GET /metrics -> 200 /metrics
 POST /metrics -> 405 /metrics
-PUT /metrics -> 404 /metrics
-DELETE /metrics -> 404 /metrics
+PUT /metrics -> 405 /metrics
+DELETE /metrics -> 405 /metrics
 GET /trace -> 200 /trace
 POST /trace -> 405 /trace
-PUT /trace -> 404 /trace
-DELETE /trace -> 404 /trace
+PUT /trace -> 405 /trace
+DELETE /trace -> 405 /trace
 GET /anonymize -> 405 /anonymize
 POST /anonymize -> 400 /anonymize
-PUT /anonymize -> 404 /anonymize
-DELETE /anonymize -> 404 /anonymize
+PUT /anonymize -> 405 /anonymize
+DELETE /anonymize -> 405 /anonymize
 GET /sweep -> 405 /sweep
 POST /sweep -> 400 /sweep
-PUT /sweep -> 404 /sweep
-DELETE /sweep -> 404 /sweep
+PUT /sweep -> 405 /sweep
+DELETE /sweep -> 405 /sweep
 GET /datasets -> 200 /datasets
 POST /datasets -> 400 /datasets
 PUT /datasets -> 405 /datasets
 DELETE /datasets -> 405 /datasets
 GET /datasets/<fp> -> 200 /datasets/{fp}
 POST /datasets/<fp> -> 405 /datasets/{fp}
-PUT /datasets/<fp> -> 404 /datasets/{fp}
-DELETE /datasets/<fp> -> 404 /datasets/{fp}
-GET /datasets/<fp>/ -> 200 other
-POST /datasets/<fp>/ -> 405 other
-PUT /datasets/<fp>/ -> 404 other
-DELETE /datasets/<fp>/ -> 404 other
+PUT /datasets/<fp> -> 405 /datasets/{fp}
+DELETE /datasets/<fp> -> 405 /datasets/{fp}
+GET /datasets/<fp>/ -> 200 /datasets/{fp}
+POST /datasets/<fp>/ -> 405 /datasets/{fp}
+PUT /datasets/<fp>/ -> 405 /datasets/{fp}
+DELETE /datasets/<fp>/ -> 405 /datasets/{fp}
 GET /datasets/<fp>/append -> 405 /datasets/{fp}/append
 POST /datasets/<fp>/append -> 400 /datasets/{fp}/append
-PUT /datasets/<fp>/append -> 404 /datasets/{fp}/append
-DELETE /datasets/<fp>/append -> 404 /datasets/{fp}/append
+PUT /datasets/<fp>/append -> 405 /datasets/{fp}/append
+DELETE /datasets/<fp>/append -> 405 /datasets/{fp}/append
 GET /datasets/<fp>/publish -> 405 /datasets/{fp}/publish
 POST /datasets/<fp>/publish -> 400 /datasets/{fp}/publish
-PUT /datasets/<fp>/publish -> 404 /datasets/{fp}/publish
-DELETE /datasets/<fp>/publish -> 404 /datasets/{fp}/publish
+PUT /datasets/<fp>/publish -> 405 /datasets/{fp}/publish
+DELETE /datasets/<fp>/publish -> 405 /datasets/{fp}/publish
 GET /datasets/<fp>/bogus -> 404 other
 POST /datasets/<fp>/bogus -> 404 other
 PUT /datasets/<fp>/bogus -> 404 other
 DELETE /datasets/<fp>/bogus -> 404 other
 GET /datasets/0000000000000000 -> 404 /datasets/{fp}
 POST /datasets/0000000000000000 -> 405 /datasets/{fp}
-PUT /datasets/0000000000000000 -> 404 /datasets/{fp}
-DELETE /datasets/0000000000000000 -> 404 /datasets/{fp}
+PUT /datasets/0000000000000000 -> 405 /datasets/{fp}
+DELETE /datasets/0000000000000000 -> 405 /datasets/{fp}
 GET /datasets/nope/append -> 404 /datasets/{fp}/append
 POST /datasets/nope/append -> 404 /datasets/{fp}/append
 PUT /datasets/nope/append -> 404 /datasets/{fp}/append
