@@ -34,10 +34,11 @@
 //! Reuse is **invisible in the output**: a warm publish returns the
 //! same bytes as a cold publish of the same segment history (persisted
 //! records store exactly the partition/kind/recoding the stitch
-//! consumes — see [`record`]), and a single-shard publish short-circuits
-//! to `mechanism.anonymize`, byte-identical to the one-shot path. The
-//! incremental-equivalence suite (`tests/incremental_equivalence.rs`)
-//! holds both properties as differential gates.
+//! consumes — see the `record` module), and a single-shard publish
+//! short-circuits to `mechanism.anonymize`, byte-identical to the
+//! one-shot path. The incremental-equivalence suite
+//! (`tests/incremental_equivalence.rs`) holds both properties as
+//! differential gates.
 //!
 //! Fault injection: ingestion and publication host the same
 //! [`ldiv_guard::fault`] entry points as mechanisms, under the names
@@ -63,7 +64,7 @@ use memo::TableMemo;
 use record::ShardRecord;
 use std::fmt;
 use std::fs;
-use std::io::BufReader;
+use std::io::{BufReader, Read as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -590,8 +591,7 @@ impl DatasetStore {
             reused,
         } = ldiv_shard::stitch_shards(mechanism, &table, params, &plan, |i, sub, sub_params| {
             let path = self.record_path(fingerprint, name, sub, sub_params);
-            if let Some(publication) = self.load_record(&path, name, sub) {
-                let _reuse = ldiv_obs::span_labeled("store:shard", || format!("{name}#{i} reuse"));
+            if let Some(publication) = self.load_record(&path, name, i, sub) {
                 return Ok((publication, true));
             }
             let _compute = ldiv_obs::span_labeled("store:shard", || format!("{name}#{i} compute"));
@@ -735,8 +735,22 @@ impl DatasetStore {
         ))
     }
 
-    fn load_record(&self, path: &Path, mechanism: &str, sub: &Table) -> Option<Publication> {
-        let text = fs::read_to_string(path).ok()?;
+    /// Shard `shard`'s persisted result, rebuilt over `sub`. Its
+    /// `store:shard … reuse` span opens once the record file has opened,
+    /// so it times the read, the parse and the rebuild; a shard without
+    /// a record shows no such span, and one whose record fails to parse
+    /// (only corruption does) shows it before its `compute` span.
+    fn load_record(
+        &self,
+        path: &Path,
+        mechanism: &str,
+        shard: usize,
+        sub: &Table,
+    ) -> Option<Publication> {
+        let mut file = fs::File::open(path).ok()?;
+        let _reuse = ldiv_obs::span_labeled("store:shard", || format!("{mechanism}#{shard} reuse"));
+        let mut text = String::new();
+        file.read_to_string(&mut text).ok()?;
         let record = ShardRecord::parse(&text)?;
         if record.mechanism != mechanism {
             return None;
