@@ -31,15 +31,10 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use ldiv_api::{AnatomyTables, LdivError, Mechanism, Params, Payload, Publication};
+use ldiv_api::{AnatomyTables, LdivError, Mechanism, Params, Payload, Publication, SensitiveEntry};
 use ldiv_exec::Executor;
 use ldiv_microdata::{escape_cell, MicrodataError, OpenGroup, Partition, RowId, SaBuckets, Table};
 use std::io::Write;
-
-/// Re-export: the ST row type now lives in the `ldiv-api` contract crate
-/// (it is part of the anatomy publication payload); the old
-/// `ldiv_anatomy::SensitiveEntry` path keeps working.
-pub use ldiv_api::SensitiveEntry;
 
 /// An anatomized publication: the grouping plus the two published tables.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -29,7 +29,7 @@ use ldiversity::shard::run_sharded;
 use ldiversity::standard_registry;
 use std::time::Instant;
 
-use ldiv_bench::service::percentile;
+use ldiv_obs::hist::percentile;
 
 fn parse_list<T: std::str::FromStr>(raw: &str, flag: &str) -> Vec<T> {
     raw.split(',')

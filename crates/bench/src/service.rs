@@ -11,6 +11,7 @@
 
 use ldiv_datagen::{sal, AcsConfig};
 use ldiv_microdata::write_table_csv;
+use ldiv_obs::hist::percentile;
 use ldiv_server::{Server, ServerConfig};
 use ldiv_wire::Json;
 use ldiversity::standard_registry;
@@ -39,11 +40,6 @@ pub struct PathThroughput {
     /// the server's request traces and sorted by stage name.
     pub stages: Vec<StageStat>,
 }
-
-// The one nearest-rank quantile used everywhere (bench rollups and the
-// histogram quantile estimator): re-exported so `service::percentile`
-// callers keep working while the implementation lives in `ldiv-obs`.
-pub use ldiv_obs::hist::percentile;
 
 /// Total time spent in one named pipeline stage across a timed window.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,7 +1,6 @@
 //! The KL-divergence of the paper's Eq. (2).
 
-use crate::Recoding;
-use ldiv_api::AttrRange;
+use ldiv_api::{AttrRange, Recoding};
 use ldiv_exec::Executor;
 use ldiv_microdata::{RowId, Schema, SuppressedTable, Table, Value};
 use std::collections::HashMap;

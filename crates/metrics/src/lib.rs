@@ -49,8 +49,3 @@ pub use publication::{
     kl_divergence_boxes, kl_divergence_boxes_with, kl_divergence_with,
 };
 pub use stats::PublicationSummary;
-
-/// Re-export: the recoding description now lives in the `ldiv-api`
-/// contract crate (it is a publication payload); the old
-/// `ldiv_metrics::Recoding` path keeps working.
-pub use ldiv_api::Recoding;

@@ -13,7 +13,7 @@
 //!   (|domain| − 1)`. Reported as the average over all `n · d` cells,
 //!   so results are comparable across tables.
 
-use crate::Recoding;
+use ldiv_api::Recoding;
 use ldiv_microdata::{Partition, SuppressedTable, Table};
 
 /// Discernibility metric of a partition: `Σ_G |G|²`.

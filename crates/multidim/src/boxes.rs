@@ -1,13 +1,8 @@
 //! Range-generalized publications and the §6.2 transformation.
 
-use ldiv_api::{repair, Payload, Publication};
+use ldiv_api::{repair, AttrRange, Payload, Publication};
 use ldiv_exec::Executor;
 use ldiv_microdata::{Partition, RowId, SaHistogram, SuppressedTable, Table};
-
-/// Re-export: the range type now lives in the `ldiv-api` contract crate
-/// (it is the boxes publication payload); the old
-/// `ldiv_multidim::AttrRange` path keeps working.
-pub use ldiv_api::AttrRange;
 
 /// One group of a multi-dimensional generalization: its rows and the
 /// published range per attribute.

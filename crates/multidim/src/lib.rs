@@ -29,6 +29,6 @@ mod boxes;
 mod mechanism;
 mod mondrian;
 
-pub use boxes::{AttrRange, BoxGroup, BoxTable};
+pub use boxes::{BoxGroup, BoxTable};
 pub use mechanism::MondrianMechanism;
 pub use mondrian::{mondrian_partition, mondrian_partition_with};

@@ -26,9 +26,9 @@ pub const BUCKET_BOUNDS_NS: [u64; FINITE_BUCKETS] = {
 /// The `q`-quantile (0.0 ..= 1.0) of a sample set by the nearest-rank
 /// method. Empty input yields 0.0 so a zero-request run stays renderable.
 ///
-/// This is the single shared implementation; `ldiv-bench`'s
-/// `service::percentile` re-exports it and [`Histogram::quantile`] uses
-/// the same rank rule over cumulative bucket counts.
+/// This is the single shared implementation: `ldiv-bench`'s rollups
+/// call it, and [`Histogram::quantile`] uses the same rank rule over
+/// cumulative bucket counts.
 pub fn percentile(samples: &[f64], q: f64) -> f64 {
     if samples.is_empty() {
         return 0.0;

@@ -1,7 +1,7 @@
 //! The TDS greedy specialization loop, privacy-gated by l-diversity.
 
 use crate::taxonomy::{Cut, Taxonomy};
-use ldiv_metrics::Recoding;
+use ldiv_api::Recoding;
 use ldiv_microdata::{Partition, RowId, Table};
 use std::fmt;
 

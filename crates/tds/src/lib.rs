@@ -28,7 +28,7 @@
 //! later round costs O(rows in the groups it splits × d), plus
 //! O(groups × d) to score.
 //!
-//! The output is a [`Recoding`](ldiv_metrics::Recoding) (usable with
+//! The output is a [`Recoding`](ldiv_api::Recoding) (usable with
 //! `ldiv_metrics::kl_divergence_recoded`) plus the induced l-diverse
 //! partition.
 //!

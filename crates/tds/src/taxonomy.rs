@@ -1,5 +1,6 @@
 //! Taxonomy trees over ordered categorical domains, and cuts through them.
 
+use ldiv_api::Recoding;
 use ldiv_microdata::Value;
 
 /// One node of a taxonomy: a contiguous range of domain values.
@@ -158,9 +159,9 @@ impl Cut {
         }
     }
 
-    /// Converts the cut into a [`ldiv_metrics::Recoding`]: one bucket per
-    /// cut node, bucket ids dense per attribute.
-    pub fn to_recoding(&self, taxonomies: &[Taxonomy]) -> ldiv_metrics::Recoding {
+    /// Converts the cut into a [`Recoding`]: one bucket per cut node,
+    /// bucket ids dense per attribute.
+    pub fn to_recoding(&self, taxonomies: &[Taxonomy]) -> Recoding {
         let bucket_of = self
             .chosen
             .iter()
@@ -176,7 +177,7 @@ impl Cut {
                 assign
             })
             .collect();
-        ldiv_metrics::Recoding::new(bucket_of)
+        Recoding::new(bucket_of)
     }
 }
 
