@@ -15,7 +15,8 @@
 //! level 0 is the identity (leaves), the top level collapses the domain.
 
 use crate::uniform_recoding;
-use ldiv_metrics::{ncp_recoded, Recoding};
+use ldiv_api::Recoding;
+use ldiv_metrics::ncp_recoded;
 use ldiv_microdata::{SaHistogram, Schema, Table};
 
 /// One attribute's generalization ladder: recodings from identity (index
@@ -142,6 +143,7 @@ fn enumerate_with_sum(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ldiv_api::Params;
     use ldiv_datagen::{sal, AcsConfig};
     use ldiv_microdata::samples;
 
@@ -222,14 +224,15 @@ mod tests {
         .unwrap();
         let l = 4;
         let fd = best_full_domain_recoding(&t, l, 2).expect("feasible");
+        let tp = ldiv_core::TpMechanism;
         let run =
-            crate::anonymize_preprocessed(&t, &fd.recoding, l, &ldiv_core::SingleGroupResidue)
-                .unwrap();
-        assert!(run.result.published.is_l_diverse(&run.coarse_table, l));
+            crate::anonymize_preprocessed_with(&t, &fd.recoding, &tp, &Params::new(l)).unwrap();
+        assert!(run.publication.is_l_diverse(&run.coarse_table, l));
         // A recoding that already guarantees l-diversity leaves TP nothing
         // to suppress (all induced groups are l-eligible).
-        assert_eq!(run.result.suppressed_tuples(), 0);
-        assert!(run.kl.is_finite() && run.kl >= -1e-9);
+        assert_eq!(run.publication.suppressed_tuple_count(), 0);
+        let kl = run.kl.expect("TP publishes a suppression payload");
+        assert!(kl.is_finite() && kl >= -1e-9);
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //!
 //! * [`coarsen_table`] — materializes the recoded table (bucket ids become
 //!   the new domain);
-//! * [`anonymize_preprocessed`] — coarsen → TP/TP+ → publication, with
-//!   stars counted on the coarse table and information loss measured on
-//!   the *original* table via the mixed KL-divergence
+//! * [`anonymize_preprocessed_with`] — coarsen → any mechanism →
+//!   publication, with stars counted on the coarse table and, for
+//!   suppression payloads, information loss measured on the *original*
+//!   table via the mixed KL-divergence
 //!   (`ldiv_metrics::kl_divergence_coarse_suppressed`);
 //! * [`uniform_recoding`] — depth-`k` cuts through balanced taxonomies,
 //!   the preprocessing knob;
@@ -44,10 +45,8 @@ mod lattice;
 
 pub use lattice::{best_full_domain_recoding, minimal_full_domain_recodings, FullDomainRecoding};
 
-use ldiv_api::{LdivError, Mechanism, Params, Publication};
-use ldiv_core::{anonymize, AnonymizationResult, CoreError, ResiduePartitioner};
-use ldiv_hilbert::HilbertResidue;
-use ldiv_metrics::{kl_divergence_coarse_suppressed, Recoding};
+use ldiv_api::{LdivError, Mechanism, Params, Publication, Recoding};
+use ldiv_metrics::kl_divergence_coarse_suppressed;
 use ldiv_microdata::{Attribute, Schema, Table, TableBuilder, Value};
 use ldiv_tds::Taxonomy;
 
@@ -82,48 +81,6 @@ pub fn coarsen_table(table: &Table, recoding: &Recoding) -> Table {
     builder.build()
 }
 
-/// A preprocessed anonymization: the recoding used, the coarsened table,
-/// and the TP/TP+ result over it.
-#[derive(Debug, Clone)]
-pub struct PreprocessedAnonymization {
-    /// The preprocessing recoding.
-    pub recoding: Recoding,
-    /// The coarsened microdata TP actually ran on.
-    pub coarse_table: Table,
-    /// The anonymization of the coarsened table.
-    pub result: AnonymizationResult,
-    /// Information loss of the final publication measured against the
-    /// *original* table (mixed star/bucket semantics of Eq. 2).
-    pub kl: f64,
-}
-
-impl PreprocessedAnonymization {
-    /// Stars in the coarse publication.
-    pub fn stars(&self) -> usize {
-        self.result.star_count()
-    }
-}
-
-/// §5.6 preprocessing workflow: coarsen the table with `recoding`, run the
-/// TP/TP+ pipeline on the coarsened data, and measure the loss against the
-/// original table.
-pub fn anonymize_preprocessed<P: ResiduePartitioner>(
-    table: &Table,
-    recoding: &Recoding,
-    l: u32,
-    partitioner: &P,
-) -> Result<PreprocessedAnonymization, CoreError> {
-    let coarse_table = coarsen_table(table, recoding);
-    let result = anonymize(&coarse_table, l, partitioner)?;
-    let kl = kl_divergence_coarse_suppressed(table, recoding, &result.published);
-    Ok(PreprocessedAnonymization {
-        recoding: recoding.clone(),
-        coarse_table,
-        result,
-        kl,
-    })
-}
-
 /// A §5.6 preprocessing run of an arbitrary unified-API mechanism:
 /// the recoding used, the coarsened table it actually ran on, and its
 /// publication over that table.
@@ -146,8 +103,8 @@ pub struct PreprocessedPublication {
 /// `recoding`, run the mechanism on the coarsened data, and (for
 /// suppression payloads) measure the loss against the original table.
 ///
-/// This is the mechanism-generic sibling of [`anonymize_preprocessed`],
-/// and the engine behind the facade's `Anonymizer::preprocess_depth`.
+/// The one preprocessing path: [`preprocessing_sweep`] runs TP+ through
+/// it, and the facade's `Anonymizer::preprocess_depth` any mechanism.
 pub fn anonymize_preprocessed_with(
     table: &Table,
     recoding: &Recoding,
@@ -230,7 +187,9 @@ pub struct SweepPoint {
 /// Sweeps preprocessing depths 0..=`max_depth` with TP+ and reports the
 /// stars/KL trade-off of §5.6. Stops early once the recoding reaches the
 /// identity (deeper cuts would repeat it).
-pub fn preprocessing_sweep(table: &Table, cfg: &SweepConfig) -> Result<Vec<SweepPoint>, CoreError> {
+pub fn preprocessing_sweep(table: &Table, cfg: &SweepConfig) -> Result<Vec<SweepPoint>, LdivError> {
+    let tp_plus = ldiv_hilbert::tp_plus_mechanism();
+    let params = Params::new(cfg.l).with_fanout(cfg.fanout);
     let mut out = Vec::new();
     let mut seen_identity = false;
     for depth in 0..=cfg.max_depth {
@@ -245,13 +204,13 @@ pub fn preprocessing_sweep(table: &Table, cfg: &SweepConfig) -> Result<Vec<Sweep
             break;
         }
         seen_identity = identity;
-        let run = anonymize_preprocessed(table, &recoding, cfg.l, &HilbertResidue)?;
+        let run = anonymize_preprocessed_with(table, &recoding, &tp_plus, &params)?;
         out.push(SweepPoint {
             depth,
             total_buckets,
-            stars: run.stars(),
-            suppressed_tuples: run.result.suppressed_tuples(),
-            kl: run.kl,
+            stars: run.publication.star_count(),
+            suppressed_tuples: run.publication.suppressed_tuple_count(),
+            kl: run.kl.expect("TP+ publishes a suppression payload"),
         });
         if identity {
             break;
@@ -263,7 +222,7 @@ pub fn preprocessing_sweep(table: &Table, cfg: &SweepConfig) -> Result<Vec<Sweep
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ldiv_core::SingleGroupResidue;
+    use ldiv_core::{anonymize, SingleGroupResidue, TpMechanism};
     use ldiv_datagen::{sal, AcsConfig};
     use ldiv_microdata::samples;
 
@@ -309,30 +268,19 @@ mod tests {
         .project(&[0, 4])
         .unwrap(); // Age × Birth Place: very diverse
         let l = 4;
-        let shallow = anonymize_preprocessed(
-            &t,
-            &uniform_recoding(t.schema(), 2, 1),
-            l,
-            &SingleGroupResidue,
-        )
-        .unwrap();
-        let deep = anonymize_preprocessed(
-            &t,
-            &uniform_recoding(t.schema(), 2, 10),
-            l,
-            &SingleGroupResidue,
-        )
-        .unwrap();
-        assert!(shallow.stars() < deep.stars());
-        // Publications are l-diverse over the coarse tables.
-        assert!(shallow
-            .result
-            .published
-            .is_l_diverse(&shallow.coarse_table, l));
-        assert!(deep.result.published.is_l_diverse(&deep.coarse_table, l));
-        // KL is finite and non-negative in both regimes.
-        assert!(shallow.kl >= -1e-9 && shallow.kl.is_finite());
-        assert!(deep.kl >= -1e-9 && deep.kl.is_finite());
+        let at_depth = |depth| {
+            let recoding = uniform_recoding(t.schema(), 2, depth);
+            anonymize_preprocessed_with(&t, &recoding, &TpMechanism, &Params::new(l)).unwrap()
+        };
+        let (shallow, deep) = (at_depth(1), at_depth(10));
+        assert!(shallow.publication.star_count() < deep.publication.star_count());
+        for run in [shallow, deep] {
+            // Publications are l-diverse over the coarse tables.
+            assert!(run.publication.is_l_diverse(&run.coarse_table, l));
+            // KL is finite and non-negative in both regimes.
+            let kl = run.kl.expect("TP publishes a suppression payload");
+            assert!(kl >= -1e-9 && kl.is_finite());
+        }
     }
 
     #[test]
@@ -432,7 +380,7 @@ mod tests {
     }
 
     #[test]
-    fn mechanism_generic_preprocessing_agrees_with_tp_path() {
+    fn non_suppression_payloads_report_no_mixed_kl() {
         let t = sal(&AcsConfig {
             rows: 2_000,
             seed: 12,
@@ -440,14 +388,6 @@ mod tests {
         .project(&[0, 5])
         .unwrap();
         let recoding = uniform_recoding(t.schema(), 2, 2);
-        let legacy = anonymize_preprocessed(&t, &recoding, 3, &SingleGroupResidue).unwrap();
-        let unified =
-            anonymize_preprocessed_with(&t, &recoding, &ldiv_core::TpMechanism, &Params::new(3))
-                .unwrap();
-        assert_eq!(unified.publication.star_count(), legacy.stars());
-        let kl = unified.kl.expect("suppression payload has mixed KL");
-        assert!((kl - legacy.kl).abs() < 1e-12);
-        // Non-suppression payloads report no mixed KL.
         let tds =
             anonymize_preprocessed_with(&t, &recoding, &ldiv_tds::TdsMechanism, &Params::new(3))
                 .unwrap();
@@ -463,9 +403,13 @@ mod tests {
         .project(&[1, 3, 6])
         .unwrap();
         let identity = Recoding::identity(t.schema());
-        let pre = anonymize_preprocessed(&t, &identity, 3, &SingleGroupResidue).unwrap();
+        let pre =
+            anonymize_preprocessed_with(&t, &identity, &TpMechanism, &Params::new(3)).unwrap();
         let plain = anonymize(&t, 3, &SingleGroupResidue).unwrap();
-        assert_eq!(pre.stars(), plain.star_count());
-        assert_eq!(pre.result.suppressed_tuples(), plain.suppressed_tuples());
+        assert_eq!(pre.publication.star_count(), plain.star_count());
+        assert_eq!(
+            pre.publication.suppressed_tuple_count(),
+            plain.suppressed_tuples()
+        );
     }
 }
