@@ -8,9 +8,10 @@
 //! * [`Mechanism`] — the object-safe trait every publication method
 //!   implements (`ldiv-core`, `ldiv-anatomy`, `ldiv-multidim`,
 //!   `ldiv-hilbert`, `ldiv-tds` each provide impls);
-//! * [`Publication`] — the normalized output: an l-diverse [`Partition`]
-//!   plus a per-group generalization [`Payload`] (suppressed stars,
-//!   covering boxes, anatomy QIT/ST, or a global recoding), so
+//! * [`Publication`] — the normalized output: an l-diverse
+//!   [`Partition`](ldiv_microdata::Partition) plus a per-group
+//!   generalization [`Payload`] (suppressed stars, covering boxes,
+//!   anatomy QIT/ST, or a global recoding), so
 //!   `ldiv-metrics` can account stars and the Eq. (2) KL-divergence
 //!   uniformly over any mechanism;
 //! * [`Params`] — the shared parameter bag (`l`, taxonomy fanout);
@@ -20,9 +21,8 @@
 //!   discipline.
 //!
 //! This crate depends only on `ldiv-microdata`; the populated standard
-//! registry and the [`Anonymizer`-style builder](https://docs.rs) front
-//! door live in the facade crate `ldiversity`, which can see every
-//! mechanism implementation.
+//! registry and the `Anonymizer` builder front door live in the facade
+//! crate `ldiversity`, which can see every mechanism implementation.
 //!
 //! ```
 //! use ldiv_api::{LdivError, Mechanism, Params, Publication};

@@ -278,9 +278,9 @@ fn split_target(target: &str) -> (String, Vec<(String, String)>) {
 }
 
 /// Decodes `%XX` escapes and `+`-as-space — the form-urlencoded (query
-/// pair) convention. Path components go through [`decode_component`]
-/// with `+` kept literal. Invalid escapes pass through literally;
-/// invalid UTF-8 is replaced.
+/// pair) convention. Path components go through the same decoder with
+/// `+` kept literal. Invalid escapes pass through literally; invalid
+/// UTF-8 is replaced.
 pub fn percent_decode(s: &str) -> String {
     decode_component(s, true)
 }

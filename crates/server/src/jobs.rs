@@ -172,7 +172,7 @@ impl<T: Send + 'static> WorkerPool<T> {
     }
 
     /// Replaces every worker whose thread has exited, restoring the pool
-    /// to full strength. Called automatically from [`submit`]; public so
+    /// to full strength. Called automatically from [`submit`](Self::submit); public so
     /// an embedding can heal eagerly.
     pub fn heal(&self) {
         if self.tx.is_none() {
