@@ -489,7 +489,7 @@ mod tests {
     #[test]
     fn samples_and_histograms_render_valid_text() {
         let registry = Registry::new();
-        registry.counter("requests", "Total requests.").inc();
+        registry.counter("cache.hits", "Cache hits.").inc();
         let family =
             registry.histogram("ldiv_request_duration_seconds", "Request latency.", "route");
         family.observe("/anonymize", Duration::from_micros(150));
@@ -502,7 +502,8 @@ mod tests {
         }
         registry.render_histograms_into(&mut out);
         validate_prometheus(&out).expect("registry output is valid exposition text");
-        assert!(out.contains("# TYPE ldiv_requests_total counter\nldiv_requests_total 1\n"));
+        // Names derive from the path and the kind.
+        assert!(out.contains("# TYPE ldiv_cache_hits_total counter\nldiv_cache_hits_total 1\n"));
         assert!(out.contains("# TYPE ldiv_workers gauge\nldiv_workers 4\n"));
         assert!(out.contains("# TYPE ldiv_request_duration_seconds histogram\n"));
         assert!(out.contains(
@@ -518,14 +519,6 @@ mod tests {
         let anon = out.find("route=\"/anonymize\"").unwrap();
         let stats = out.find("route=\"/stats\"").unwrap();
         assert!(anon < stats);
-    }
-
-    #[test]
-    fn names_derive_from_the_path_and_the_kind() {
-        let hits = Sample::counter("cache.hits", "Hits.", 0);
-        assert_eq!(hits.name(), "ldiv_cache_hits_total");
-        let rows = Sample::gauge("store.rows", "Rows.", 0);
-        assert_eq!(rows.name(), "ldiv_store_rows");
     }
 
     #[test]
