@@ -735,11 +735,9 @@ impl DatasetStore {
         ))
     }
 
-    /// Shard `shard`'s persisted result, rebuilt over `sub`. Its
+    /// Shard `shard`'s persisted result, rebuilt over `sub`. The
     /// `store:shard … reuse` span opens once the record file has opened,
-    /// so it times the read, the parse and the rebuild; a shard without
-    /// a record shows no such span, and one whose record fails to parse
-    /// (only corruption does) shows it before its `compute` span.
+    /// so it times the read, the parse and the rebuild.
     fn load_record(
         &self,
         path: &Path,
