@@ -6,9 +6,9 @@ use std::fmt;
 /// Every failure the anonymization stack can surface, from CLI argument
 /// parsing down to algorithm infeasibility.
 ///
-/// Crate-local error types (`CoreError`, `TdsError`, `MicrodataError`,
-/// the CLI's former `String` errors) all convert into this enum, so
-/// callers handle one type and the CLI maps it to exit codes with
+/// Crate-local error types (`TdsError`, `MicrodataError`, the CLI's
+/// former `String` errors) all convert into this enum, so callers handle
+/// one type and the CLI maps it to exit codes with
 /// [`LdivError::exit_code`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LdivError {

@@ -7,8 +7,8 @@
 //! [`ResiduePartitioner`] trait; the Hilbert-curve implementation lives in
 //! the `ldiv-hilbert` crate to keep this crate dependency-free.
 
-use crate::error::CoreError;
 use crate::tp::{tuple_minimize, TpOutcome};
+use ldiv_api::LdivError;
 use ldiv_exec::Executor;
 use ldiv_microdata::{Partition, RowId, SuppressedTable, Table};
 
@@ -97,7 +97,7 @@ pub fn anonymize<P: ResiduePartitioner>(
     table: &Table,
     l: u32,
     partitioner: &P,
-) -> Result<AnonymizationResult, CoreError> {
+) -> Result<AnonymizationResult, LdivError> {
     anonymize_with(table, l, partitioner, &Executor::default())
 }
 
@@ -109,7 +109,7 @@ pub fn anonymize_with<P: ResiduePartitioner>(
     l: u32,
     partitioner: &P,
     exec: &Executor,
-) -> Result<AnonymizationResult, CoreError> {
+) -> Result<AnonymizationResult, LdivError> {
     let tp = tuple_minimize(table, l)?;
     let mut partition = tp.partition.clone();
     let mut fell_back = false;

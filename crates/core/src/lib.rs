@@ -55,14 +55,12 @@
 #![warn(rust_2018_idioms)]
 
 mod candidates;
-mod error;
 mod group;
 mod hybrid;
 mod mechanism;
 mod residue;
 mod tp;
 
-pub use error::CoreError;
 pub use hybrid::{
     anonymize, anonymize_with, AnonymizationResult, ResiduePartitioner, SingleGroupResidue,
 };

@@ -1,9 +1,9 @@
 //! The three-phase tuple-minimization algorithm (paper §5.1–§5.5).
 
 use crate::candidates::{Candidate, CandidateList};
-use crate::error::CoreError;
 use crate::group::Group;
 use crate::residue::ResidueSet;
+use ldiv_api::LdivError;
 use ldiv_microdata::{Partition, RowId, Table};
 use serde::{Deserialize, Serialize};
 
@@ -124,15 +124,10 @@ impl TpOutcome {
 /// Runs the three-phase algorithm on a table, bucketing rows by identical
 /// QI vectors first (§5.1).
 ///
-/// Fails fast when no l-diverse generalization exists (the table itself is
-/// not l-eligible) or `l = 0`.
-pub fn tuple_minimize(table: &Table, l: u32) -> Result<TpOutcome, CoreError> {
-    if l == 0 {
-        return Err(CoreError::InvalidL(l));
-    }
-    table.check_l_feasible(l)?;
-    let initial = table.group_by_qi();
-    tuple_minimize_groups(table, initial, l)
+/// Fails when no l-diverse generalization exists (the table itself is not
+/// l-eligible) or `l = 0`.
+pub fn tuple_minimize(table: &Table, l: u32) -> Result<TpOutcome, LdivError> {
+    tuple_minimize_groups(table, table.group_by_qi(), l)
 }
 
 /// Runs the three-phase algorithm from caller-supplied initial QI-groups.
@@ -145,9 +140,9 @@ pub fn tuple_minimize_groups(
     table: &Table,
     initial_groups: Vec<Vec<RowId>>,
     l: u32,
-) -> Result<TpOutcome, CoreError> {
+) -> Result<TpOutcome, LdivError> {
     if l == 0 {
-        return Err(CoreError::InvalidL(l));
+        return Err(LdivError::InvalidL(l));
     }
     table.check_l_feasible(l)?;
 
@@ -337,7 +332,7 @@ fn phase_three(
     residue: &mut ResidueSet,
     l: u32,
     stats: &mut TpStats,
-) -> Result<(), CoreError> {
+) -> Result<(), LdivError> {
     // Lemma 9 bounds rounds by h(R̈); counts only grow, so 2·n is a
     // generous safety net that only a logic bug could exceed.
     let safety_limit =
@@ -346,7 +341,7 @@ fn phase_three(
     while !residue.is_l_eligible(l) {
         stats.phase3_rounds += 1;
         if stats.phase3_rounds > safety_limit {
-            return Err(CoreError::Internal(
+            return Err(LdivError::Internal(
                 "phase three failed to converge (round limit exceeded)".into(),
             ));
         }
@@ -384,12 +379,12 @@ fn phase_three(
                 }
             }
             let (gid, overlap) = best.ok_or_else(|| {
-                CoreError::Internal("phase three: no group available for SET-COVER".into())
+                LdivError::Internal("phase three: no group available for SET-COVER".into())
             })?;
             if overlap.len() == uncovered.len() {
                 // No progress would violate Lemma 7 — possible only if the
                 // input was not l-eligible, which we pre-checked.
-                return Err(CoreError::Internal(
+                return Err(LdivError::Internal(
                     "phase three: greedy cover made no progress (Lemma 7 violated)".into(),
                 ));
             }
@@ -410,7 +405,7 @@ fn phase_three(
             while !g.is_dead(l, residue) {
                 if g.is_fat(l) {
                     let v = g.non_residue_pillar_value(residue).ok_or_else(|| {
-                        CoreError::Internal(
+                        LdivError::Internal(
                             "fat group has only R-pillar values while R is ineligible".into(),
                         )
                     })?;
@@ -512,10 +507,10 @@ mod tests {
     #[test]
     fn rejects_l_zero_and_infeasible() {
         let t = samples::hospital();
-        assert!(matches!(tuple_minimize(&t, 0), Err(CoreError::InvalidL(0))));
+        assert!(matches!(tuple_minimize(&t, 0), Err(LdivError::InvalidL(0))));
         assert!(matches!(
             tuple_minimize(&t, 3),
-            Err(CoreError::Infeasible(_))
+            Err(LdivError::Infeasible(_))
         ));
     }
 
