@@ -595,7 +595,7 @@ fn cmd_anonymize_run(
                     .field("preprocess_depth", depth)
                     .field(
                         "dataset_fingerprint",
-                        wire::fingerprint_hex(table.fingerprint()),
+                        ldiv_store::fingerprint_hex(table.fingerprint()),
                     )
                     .field("stars", run.star_count())
                     .field("groups", run.publication.group_count())
@@ -826,7 +826,7 @@ fn cmd_dataset_register(opts: &Options) -> Result<String, LdivError> {
     if format == Format::Json {
         return Ok(json_line(wire::register_json(&outcome)));
     }
-    let hex = wire::fingerprint_hex(outcome.fingerprint);
+    let hex = ldiv_store::fingerprint_hex(outcome.fingerprint);
     Ok(if outcome.created {
         format!("registered dataset {hex} ({} rows)\n", outcome.rows)
     } else {
@@ -852,7 +852,7 @@ fn cmd_dataset_append(opts: &Options) -> Result<String, LdivError> {
         "appended segment {} ({} rows) to dataset {}: {} rows total\n",
         outcome.segment.index,
         outcome.segment.rows,
-        wire::fingerprint_hex(outcome.dataset),
+        ldiv_store::fingerprint_hex(outcome.dataset),
         outcome.total_rows
     ))
 }
@@ -898,14 +898,14 @@ fn cmd_dataset_publish(opts: &Options) -> Result<String, LdivError> {
                     .field("shards", stats.shards)
                     .field("reused", stats.reused)
                     .field("computed", stats.computed)
-                    .field("lineage", wire::fingerprint_hex(stats.lineage)),
+                    .field("lineage", ldiv_store::fingerprint_hex(stats.lineage)),
             ),
         ));
     }
     let mut msg = format!(
         "published dataset {} with {algo}: {} rows, {} groups, KL {kl:.4}\n\
          incremental: {} segments, {} shards ({} reused, {} computed)\n",
-        wire::fingerprint_hex(fp),
+        ldiv_store::fingerprint_hex(fp),
         outcome.table.len(),
         outcome.publication.group_count(),
         stats.segments,
@@ -937,7 +937,7 @@ fn cmd_dataset_list(opts: &Options) -> Result<String, LdivError> {
     for info in &datasets {
         out.push_str(&format!(
             "{:>16} {:>9} {:>10}\n",
-            wire::fingerprint_hex(info.fingerprint),
+            ldiv_store::fingerprint_hex(info.fingerprint),
             info.segments.len(),
             info.rows()
         ));

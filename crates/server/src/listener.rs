@@ -45,7 +45,7 @@ use ldiv_metrics::kl_divergence_with;
 use ldiv_microdata::{read_csv_with, Table};
 use ldiv_obs::registry::write_metric;
 use ldiv_obs::{Counter, HistogramFamily, Registry as MetricsRegistry, Sample};
-use ldiv_store::{DatasetStore, StoreError};
+use ldiv_store::{fingerprint_hex, DatasetStore, StoreError};
 use ldiv_wire::Json;
 use std::borrow::Borrow;
 use std::io::{BufReader, BufWriter};
@@ -636,7 +636,7 @@ fn store_error_response(state: &AppState, e: StoreError) -> Response {
     match e {
         StoreError::NotFound(fp) => usage_response(
             404,
-            format!("dataset {} is not registered", wire::fingerprint_hex(fp)),
+            format!("dataset {} is not registered", fingerprint_hex(fp)),
         ),
         e => error_response(state, &LdivError::from(e)),
     }

@@ -24,15 +24,8 @@
 use ldiv_api::{LdivError, MechanismRegistry, Params, Publication};
 use ldiv_metrics::PublicationSummary;
 use ldiv_microdata::Table;
-use ldiv_store::{AppendOutcome, DatasetInfo, RegisterOutcome, SegmentInfo};
+use ldiv_store::{fingerprint_hex, AppendOutcome, DatasetInfo, RegisterOutcome, SegmentInfo};
 use ldiv_wire::Json;
-
-/// The hex form used for dataset fingerprints on the wire
-/// (`"a1b2c3d4e5f60718"`). A string, because JSON numbers cannot carry a
-/// full u64 without precision loss in common consumers.
-pub fn fingerprint_hex(fp: u64) -> String {
-    format!("{fp:016x}")
-}
 
 /// The `params` sub-object of a publication response. The shard count
 /// appears in its **resolved** form (`0` spelled out as 1), matching what

@@ -130,8 +130,10 @@ impl From<StoreError> for LdivError {
     }
 }
 
-/// The 16-hex-digit form of a fingerprint — directory names on disk and
-/// the wire form shared with the server.
+/// The 16-hex-digit form of a fingerprint (`"a1b2c3d4e5f60718"`):
+/// directory names on disk and the wire form shared with the server. The
+/// wire carries it as a string because JSON numbers cannot carry a full
+/// u64 without precision loss in common consumers.
 pub fn fingerprint_hex(fp: u64) -> String {
     format!("{fp:016x}")
 }
