@@ -19,7 +19,7 @@
 
 mod common;
 
-use common::{dataset_csv, json_u64, registered_fingerprint, request, serial, TempRoot};
+use common::{dataset_csv, registered_fingerprint, request, serial, TempRoot};
 use ldiversity::obs;
 use ldiversity::obs::registry::validate_prometheus;
 use ldiversity::server::{handle_request, AppState, Server, ServerConfig};
@@ -41,6 +41,7 @@ fn header<'a>(response: &'a ldiversity::server::Response, name: &str) -> Option<
 fn trace_reports_a_span_tree_accounting_for_wall_time() {
     let _guard = serial();
     obs::set_armed(true);
+    obs::clear_traces();
     let csv = dataset_csv(500, 41);
     // One thread, one shard: the pipeline stages run sequentially on the
     // handler thread, so leaf durations are disjoint sub-intervals of
@@ -54,6 +55,10 @@ fn trace_reports_a_span_tree_accounting_for_wall_time() {
         },
     );
 
+    // Another request's trace sits in the ring ahead of the anonymize
+    // trace, so every check below reads that trace by its id.
+    let healthz = handle_request(&state, &request("GET", "/healthz", &[], b""));
+    assert_eq!(healthz.status, 200, "{}", healthz.body);
     let response = handle_request(
         &state,
         &request("POST", "/anonymize", &[("algo", "tp"), ("l", "3")], &csv),
@@ -65,25 +70,31 @@ fn trace_reports_a_span_tree_accounting_for_wall_time() {
 
     let trace = handle_request(&state, &request("GET", "/trace", &[], b""));
     assert_eq!(trace.status, 200, "{}", trace.body);
-    assert!(trace.body.contains("\"armed\":true"), "{}", trace.body);
-    assert!(
-        trace.body.contains(&format!("\"id\":\"{trace_id}\"")),
-        "trace {trace_id} missing from ring: {}",
-        trace.body
-    );
+    let body = Json::parse(&trace.body).expect("/trace renders JSON");
+    assert_eq!(body.get("armed"), Some(&Json::Bool(true)), "{}", trace.body);
+    let Some(Json::Arr(traces)) = body.get("traces") else {
+        panic!("no traces array: {}", trace.body);
+    };
+    let ours = traces
+        .iter()
+        .find(|t| t.get("id") == Some(&Json::Str(trace_id.clone())))
+        .unwrap_or_else(|| panic!("trace {trace_id} missing from ring: {}", trace.body));
     // The span tree covers the pipeline stages end to end.
+    let rendered = ours.render();
     for stage in ["csv:read", "cache:lookup", "shard:anonymize", "kl"] {
         assert!(
-            trace.body.contains(&format!("\"name\":\"{stage}\"")),
-            "no {stage} span: {}",
-            trace.body
+            rendered.contains(&format!("\"name\":\"{stage}\"")),
+            "no {stage} span: {rendered}"
         );
     }
     // Leaf spans account for the wall time: they never exceed it, and on
     // this pinned configuration they cover at least a quarter of it (the
     // remainder is routing, header assembly, and cache bookkeeping).
-    let wall_ns = json_u64(&trace.body, "wall_ns");
-    let leaf_ns = json_u64(&trace.body, "leaf_ns");
+    let nanos = |key: &str| match ours.get(key) {
+        Some(Json::Int(ns)) => *ns,
+        other => panic!("{key} is {other:?} in {rendered}"),
+    };
+    let (wall_ns, leaf_ns) = (nanos("wall_ns"), nanos("leaf_ns"));
     assert!(wall_ns > 0);
     assert!(
         leaf_ns <= wall_ns,
