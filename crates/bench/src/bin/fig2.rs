@@ -2,28 +2,9 @@
 //!
 //! Usage: `cargo run --release -p ldiv-bench --bin fig2 -- [options]`
 //! (see `HarnessConfig::usage` for options; `--paper` = published scale).
-//!
-//! `--json` switches to the machine-readable report: the same sweep with
-//! KL enabled plus a per-run stage decomposition (mechanism + KL span
-//! totals) on stdout — the source of the committed `BENCH_fig2.json`.
 
-use ldiv_bench::{experiments, HarnessConfig};
+use ldiv_bench::experiments;
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|a| a == "--json");
-    args.retain(|a| a != "--json");
-    let cfg = match HarnessConfig::from_args(&args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}\n{} [--json]", HarnessConfig::usage());
-            std::process::exit(2);
-        }
-    };
-    if json {
-        println!("{}", experiments::fig2_json(&cfg).render());
-    } else {
-        let reports = experiments::fig2(&cfg);
-        experiments::emit(&reports, &cfg);
-    }
+    experiments::main(experiments::fig2);
 }

@@ -3,17 +3,8 @@
 //! Usage: `cargo run --release -p ldiv-bench --bin fig3 -- [options]`
 //! (see `HarnessConfig::usage` for options; `--paper` = published scale).
 
-use ldiv_bench::{experiments, HarnessConfig};
+use ldiv_bench::experiments;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = match HarnessConfig::from_args(&args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}\n{}", HarnessConfig::usage());
-            std::process::exit(2);
-        }
-    };
-    let reports = experiments::fig3(&cfg);
-    experiments::emit(&reports, &cfg);
+    experiments::main(experiments::fig3);
 }

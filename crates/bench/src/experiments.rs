@@ -3,11 +3,9 @@
 use crate::config::HarnessConfig;
 use crate::report::Report;
 use crate::runner::{run_algo, Algo};
-use crate::service::{rollup_stages, stages_json};
 use ldiv_core::Phase;
 use ldiv_datagen::{occ, occ_schema, projection_sets, sal, sal_schema, sample_rows, AcsConfig};
 use ldiv_microdata::{OpenGroup, Partition, RowId, SaBuckets, SaHistogram, Table};
-use ldiv_wire::Json;
 use std::cmp::Reverse;
 
 /// The two dataset families of the evaluation.
@@ -176,65 +174,6 @@ pub fn fig2(cfg: &HarnessConfig) -> Vec<Report> {
             )
         })
         .collect()
-}
-
-/// **Figure 2, machine-readable**: the same sweep as [`fig2`] with KL
-/// evaluation enabled, emitted as one JSON document that includes a
-/// per-run stage decomposition (`mechanism` + `kl` span totals) captured
-/// through `ldiv-obs` tracing. Backs the committed `BENCH_fig2.json`
-/// baseline and the bin's `--json` flag.
-pub fn fig2_json(cfg: &HarnessConfig) -> Json {
-    ldiv_obs::set_armed(true);
-    let mut kinds: Vec<Json> = Vec::new();
-    for kind in [DataKind::Sal, DataKind::Occ] {
-        let base = dataset(kind, cfg);
-        let fam = family(&base, 4, cfg);
-        let mut runs: Vec<Json> = Vec::new();
-        for l in cfg.l_values() {
-            for &algo in &SUPPRESSION_ALGOS {
-                // One trace per (l, algo) cell; the registry and KL spans
-                // from every projection in the family accumulate into it.
-                let trace = ldiv_obs::begin("bench:fig2");
-                let mut stars = Vec::new();
-                let mut kls = Vec::new();
-                let mut seconds = 0.0;
-                for t in &fam {
-                    let m = run_algo(algo, t, l, true);
-                    stars.push(m.stars as f64);
-                    kls.push(m.kl.expect("with_kl requested"));
-                    seconds += m.seconds;
-                }
-                let stages = match trace.map(ldiv_obs::ActiveTrace::finish) {
-                    Some(finished) => rollup_stages(std::iter::once(&finished)),
-                    None => Vec::new(),
-                };
-                runs.push(
-                    Json::obj()
-                        .field("l", l)
-                        .field("algo", algo.name())
-                        .field("projections", fam.len())
-                        .field("avg_stars", avg(&stars))
-                        .field("avg_kl", avg(&kls))
-                        .field("seconds", (seconds * 1e3).round() / 1e3)
-                        .field("stages", stages_json(&stages)),
-                );
-            }
-        }
-        kinds.push(
-            Json::obj()
-                .field("dataset", format!("{}-4", kind.name()))
-                .field("runs", Json::Arr(runs)),
-        );
-    }
-    Json::obj()
-        .field("schema", 1i64)
-        .field("bench", "fig2")
-        .field("rows", cfg.rows)
-        .field("max_projections", cfg.max_projections)
-        .field("seed", cfg.seed as i64)
-        .field("l_min", cfg.l_range.0)
-        .field("l_max", cfg.l_range.1)
-        .field("datasets", Json::Arr(kinds))
 }
 
 /// **Figure 3**: average stars vs `d` at `l = 6`.
@@ -630,6 +569,21 @@ pub fn emit(reports: &[Report], cfg: &HarnessConfig) {
     }
 }
 
+/// The body of every experiment binary: parses the command line into a
+/// [`HarnessConfig`], runs `experiment` and [`emit`]s its reports. Bad
+/// flags print the error and the usage and exit with code 2.
+pub fn main(experiment: impl Fn(&HarnessConfig) -> Vec<Report>) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let cfg = match HarnessConfig::from_args(&args) {
+        Ok(c) => c,
+        Err(e) => {
+            eprintln!("error: {e}\n{}", HarnessConfig::usage());
+            std::process::exit(2);
+        }
+    };
+    emit(&experiment(&cfg), &cfg);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -670,26 +624,6 @@ mod tests {
             assert_eq!(r.header, vec!["l", "Hilbert", "TP", "TP+"]);
             assert_eq!(r.rows.len(), 2); // l ∈ {2, 3}
         }
-    }
-
-    #[test]
-    fn fig2_json_carries_stage_decomposition() {
-        let cfg = HarnessConfig {
-            rows: 600,
-            max_projections: 1,
-            l_range: (2, 2),
-            ..Default::default()
-        };
-        let json = fig2_json(&cfg);
-        let text = json.render();
-        // 2 datasets × 1 l-value × 3 algorithms.
-        assert_eq!(text.matches("\"algo\"").count(), 6);
-        assert!(text.contains("\"dataset\":\"SAL-4\""));
-        assert!(text.contains("\"dataset\":\"OCC-4\""));
-        // Tracing was armed, so every run decomposes into the registry's
-        // mechanism span plus the KL evaluation span.
-        assert_eq!(text.matches("\"stage\":\"mechanism\"").count(), 6);
-        assert_eq!(text.matches("\"stage\":\"kl\"").count(), 6);
     }
 
     #[test]

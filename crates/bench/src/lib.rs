@@ -3,10 +3,11 @@
 //! Every table and figure of the paper maps to one function in
 //! [`experiments`] and one thin binary in `src/bin/`. Each experiment
 //! prints an aligned text table mirroring the paper's plot series and
-//! writes a CSV to the configured output directory, so `EXPERIMENTS.md`
-//! can cite machine-generated numbers.
+//! writes a CSV to the configured output directory. The numbers every
+//! non-timing table prints under `--quick` are pinned by
+//! `tests/paper_oracle.rs`.
 //!
-//! The default scale (40k rows, ≤ 6 projections per `d`) keeps the full
+//! The default scale (60k rows, ≤ 4 projections per `d`) keeps the full
 //! suite within minutes; `--paper` switches to the published parameters
 //! (600k rows, all `C(7, d)` projections). Shapes — who wins, by what
 //! factor, where the crossovers sit — are scale-stable; absolute star

@@ -74,17 +74,6 @@ impl Report {
         }
         f.flush()
     }
-
-    /// Renders as a GitHub-flavoured markdown table (for EXPERIMENTS.md).
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("| {} |\n", self.header.join(" | ")));
-        out.push_str(&format!("|{}\n", "---|".repeat(self.header.len())));
-        for row in &self.rows {
-            out.push_str(&format!("| {} |\n", row.join(" | ")));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -124,12 +113,5 @@ mod tests {
         assert_eq!(content.lines().count(), 3);
         assert!(content.starts_with("l,stars"));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn markdown_shape() {
-        let md = sample().to_markdown();
-        assert!(md.starts_with("| l | stars |"));
-        assert!(md.contains("|---|---|"));
     }
 }

@@ -52,14 +52,15 @@ pub struct StageStat {
     pub total_ms: f64,
 }
 
-/// Aggregates finished traces into per-stage totals, sorted by stage
-/// name for deterministic output. Shared by the service bench and the
-/// figure harnesses (`fig2 --json`).
-pub fn rollup_stages<'a>(
-    traces: impl IntoIterator<Item = &'a std::sync::Arc<ldiv_obs::FinishedTrace>>,
-) -> Vec<StageStat> {
+/// Aggregates the anonymize-route request traces (the bench's own
+/// `/stats` probes produce traces too) into per-stage totals, sorted by
+/// stage name for deterministic output.
+fn stage_rollup(traces: &[std::sync::Arc<ldiv_obs::FinishedTrace>]) -> Vec<StageStat> {
     let mut stages: Vec<StageStat> = Vec::new();
-    for trace in traces {
+    for trace in traces
+        .iter()
+        .filter(|t| t.meta_value("route") == Some("/anonymize"))
+    {
         for s in trace.stage_totals() {
             let ms = s.total_ns as f64 / 1e6;
             match stages.iter_mut().find(|x| x.stage == s.stage) {
@@ -77,16 +78,6 @@ pub fn rollup_stages<'a>(
     }
     stages.sort_by(|a, b| a.stage.cmp(&b.stage));
     stages
-}
-
-/// [`rollup_stages`] restricted to anonymize-route request traces (the
-/// bench's own `/stats` probes produce traces too).
-fn stage_rollup(traces: &[std::sync::Arc<ldiv_obs::FinishedTrace>]) -> Vec<StageStat> {
-    rollup_stages(
-        traces
-            .iter()
-            .filter(|t| t.meta_value("route") == Some("/anonymize")),
-    )
 }
 
 /// Payload-size comparison between the two wire faces of one cached
@@ -557,9 +548,8 @@ fn round3(x: f64) -> f64 {
     (x * 1e3).round() / 1e3
 }
 
-/// The JSON form of a stage rollup, shared by the serve and fig2 bench
-/// reports.
-pub fn stages_json(stages: &[StageStat]) -> Json {
+/// The JSON form of a stage rollup.
+fn stages_json(stages: &[StageStat]) -> Json {
     Json::Arr(
         stages
             .iter()

@@ -112,8 +112,8 @@ fn tp_degrades_with_dimensionality() {
 /// SAL-4 QI spaces give ~10–40 rows per QI cell. To reproduce that regime
 /// at test scale we use the Gender × Race × Marital × Work-Class
 /// projection (972 cells, ≈ 6 rows per cell at 6k rows); the full-scale
-/// sweep in EXPERIMENTS.md shows the same ordering on every projection
-/// once n reaches the paper's density.
+/// sweep, `fig7 --paper`, averages every SAL-4 projection at the paper's
+/// density.
 #[test]
 fn tp_plus_beats_tds_on_kl() {
     let table = sal(&AcsConfig {
